@@ -14,9 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
+from scipy.linalg.lapack import dposv
 
 from .sensing import SignalWindow
 from .structure import StructureSpec, discrete_state_space
+
+
+# relative max-abs gap to the steady-state gain at which run_filter freezes it
+STEADY_STATE_TOL = 1e-8
 
 
 class KalmanError(ValueError):
@@ -164,28 +170,90 @@ def filter_for_structure(
     )
 
 
+def _steady_state_gain(a, h, q, r):
+    """Steady-state (DARE) gain K = P H^T (H P H^T + R)^-1, or None if none is found.
+
+    P is the stabilising solution of the prior-covariance Riccati equation
+    P = A P A^T + Q - A P H^T (H P H^T + R)^-1 H P A^T (Anderson & Moore,
+    *Optimal Filtering*, 1979).
+    """
+    try:
+        p = solve_discrete_are(a.T, h.T, q, r)
+        gain = np.linalg.solve(h @ p @ h.T + r, h @ p).T
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    return gain if np.all(np.isfinite(gain)) else None
+
+
 def run_filter(state: KalmanFilterState, measurements: np.ndarray, track_covariance: bool = False):
     """Filter a (rows, T) measurement block with zero input.
 
     Returns (estimates, innovations[, min_eigs]): estimates are the posterior
-    measurement predictions H x_post per step; innovations are m_t - H x_prior.
+    measurement predictions H x_post per step; innovations are m_t - H x_prior;
+    min_eigs is the smallest eigenvalue of each step's posterior covariance.
+
+    The gain sequence depends only on A, H, Q, R and P0, so the Riccati
+    recursion stops once the gain is within ``STEADY_STATE_TOL`` (relative,
+    max-abs) of the steady-state DARE gain K; the remaining samples run
+    through the time-invariant filter x <- (A - K H A) x + K m_t, P keeps its
+    value from the freeze step (as does each further min_eigs entry) and
+    ``state.gain`` is K. Outputs then differ from the full recursion by about
+    1e-8 times the signal RMS. When the DARE has no finite solution, the
+    recursion runs over every sample.
     """
     rows, n_steps = measurements.shape
     if rows != state.measurement.shape[0]:
         raise KalmanError("measurement block row count does not match the filter")
-    est = np.empty_like(measurements)
-    innov = np.empty_like(measurements)
-    min_eigs = [] if track_covariance else None
-    h = state.measurement
+    m_rows = measurements.T  # row t is m_t
+    a, h, q, r = state.transition, state.measurement, state.process_noise, state.measurement_noise
+    at, ht, ha = a.T, h.T, h @ a
+    xs = np.empty((n_steps + 1, a.shape[0]))  # posterior states; row 0 is the initial state
+    xs[0] = state.x
+    min_eigs = np.empty(n_steps) if track_covariance else None
+    k_inf = _steady_state_gain(a, h, q, r) if n_steps else None
+    if k_inf is not None:
+        k_inf_t = k_inf.T
+        k_tol = STEADY_STATE_TOL * float(np.max(np.abs(k_inf)))
+    p = state.P
+    frozen_from = n_steps  # first sample filtered with the frozen gain
     for t in range(n_steps):
-        x_prior, p_prior = kf_predict(state)
-        innov[:, t] = measurements[:, t] - h @ x_prior
-        kf_correct(state, x_prior, p_prior, measurements[:, t])
-        est[:, t] = h @ state.x
+        p = a @ p @ at
+        p += q
+        ph = p @ ht
+        s = h @ ph
+        s += r
+        _, gain_t, info = dposv(s, ph.T)  # gain_t = S^-1 H P = K^T
+        if info != 0 or not np.isfinite(gain_t).all():
+            raise KalmanError(
+                f"singular innovation covariance (condition number {np.linalg.cond(s):.3e})"
+            )
+        x = a @ xs[t]
+        xs[t + 1] = x + (m_rows[t] - h @ x) @ gain_t
+        p -= ph @ gain_t
+        p = 0.5 * (p + p.T)
         if track_covariance:
-            min_eigs.append(float(np.linalg.eigvalsh(state.P)[0]))
+            min_eigs[t] = np.linalg.eigvalsh(p)[0]
+        if k_inf is not None and np.abs(gain_t - k_inf_t).max() <= k_tol:
+            # the rest of the window runs with K itself: the recursion would keep
+            # approaching it, so this drifts less than holding the last gain
+            frozen_from, gain_t = t + 1, k_inf_t
+            break
+    if n_steps:
+        state.gain = gain_t.T
+    if frozen_from < n_steps:
+        closed_loop_t = (a - state.gain @ ha).T
+        xs[frozen_from + 1 :] = m_rows[frozen_from:] @ gain_t  # the drive K m_t
+        prev = xs[frozen_from]
+        for row in xs[frozen_from + 1 :]:
+            row += prev @ closed_loop_t
+            prev = row
+        if track_covariance:
+            min_eigs[frozen_from:] = min_eigs[frozen_from - 1]
+    state.x, state.P = xs[-1].copy(), p
+    est = h @ xs[1:].T
+    innov = measurements - ha @ xs[:-1].T
     if track_covariance:
-        return est, innov, np.asarray(min_eigs)
+        return est, innov, min_eigs
     return est, innov
 
 
@@ -197,21 +265,57 @@ class ReconstructionResult:
     quality: float | None = None  # correlation against ground truth, clipped to [0, 1]
 
 
-def _scope_spec(structure: StructureSpec, dofs, margin: int):
-    """Sub-chain covering the given DOFs plus a margin.
+def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_channels, config,
+                   noise_var: dict | None, positions: dict | None):
+    """Measurement block and filter factory for ``channels`` over their model scope.
 
-    Returns (sub_spec, dof_offset, boundary_cut) where boundary_cut marks
-    which ends slice through the real structure.
+    Channels without a window in ``windows`` get zero rows. The process-noise
+    scale is the mean RMS of ``scale_channels``; channels missing from
+    ``noise_var`` get variance (0.1 * scale)^2. The scope is the whole
+    structure (``model_scope="full"``) or the sub-chain spanning the
+    channels' positions plus ``scope_margin``, with each end that slices
+    through the real structure marked as a boundary cut. Returns
+    (ref, block, make_filter): the first delivered window, the (channels, T)
+    block and ``make_filter(inflated)``, which builds the filter with the
+    channels in ``inflated`` variance-inflated.
     """
-    lo = max(0, min(dofs) - margin)
-    hi = min(structure.n_dof - 1, max(dofs) + margin)
-    sub = StructureSpec(
-        masses=structure.masses[lo : hi + 1],
-        stiffnesses=structure.stiffnesses[lo : hi + 1],
-        dt=structure.dt,
-        duration=structure.dt * 2,
+    ref = next((windows[ch] for ch in channels if windows.get(ch) is not None), None)
+    if ref is None:
+        raise KalmanError("no channel delivered a window")
+    block = np.zeros((len(channels), ref.length))
+    for i, ch in enumerate(channels):
+        if windows.get(ch) is not None:
+            block[i] = windows[ch].samples
+    scale = float(
+        np.mean([np.sqrt(np.mean(block[channels.index(ch)] ** 2)) for ch in scale_channels])
     )
-    return sub, lo, (lo > 0, hi < structure.n_dof - 1)
+    noise_var = noise_var or {}
+    variances = [float(noise_var.get(ch, (0.1 * scale) ** 2)) for ch in channels]
+    positions = positions or {ch: ch for ch in channels}
+    dofs = [positions[ch] for ch in channels]
+    scope, lo, hi = structure, 0, structure.n_dof - 1
+    if config.model_scope != "full":
+        lo = max(0, min(dofs) - config.scope_margin)
+        hi = min(structure.n_dof - 1, max(dofs) + config.scope_margin)
+        scope = StructureSpec(
+            masses=structure.masses[lo : hi + 1],
+            stiffnesses=structure.stiffnesses[lo : hi + 1],
+            dt=structure.dt,
+            duration=structure.dt * 2,
+        )
+
+    def make_filter(inflated) -> KalmanFilterState:
+        return filter_for_structure(
+            scope,
+            [d - lo for d in dofs],
+            variances,
+            inflated={positions[ch] - lo for ch in inflated},
+            inflation=config.variance_inflation,
+            input_scale=config.input_scale_factor * scale,
+            boundary_cut=(lo > 0, hi < structure.n_dof - 1),
+        )
+
+    return ref, block, make_filter
 
 
 def reconstruct_signals(
@@ -244,41 +348,10 @@ def reconstruct_signals(
             f"cannot reconstruct {sorted(faulty)}: only {len(healthy)} healthy channels "
             f"({healthy}) are available for coverage"
         )
-    positions = positions or {ch: ch for ch in channels}
-    ref = next(w for ch, w in sorted(all_windows.items()) if w is not None)
-    n_steps = ref.length
-    block = np.zeros((len(channels), n_steps))
-    for i, ch in enumerate(channels):
-        w = all_windows[ch]
-        if w is not None:
-            block[i] = w.samples
-    if noise_var is None:
-        noise_var = {}
-    healthy_rms = [float(np.sqrt(np.mean(block[channels.index(ch)] ** 2))) for ch in healthy]
-    a_scale = float(np.mean(healthy_rms))
-    var = {
-        ch: float(noise_var.get(ch, (0.1 * a_scale) ** 2))
-        for ch in channels
-    }
-
-    if config.model_scope == "full":
-        scope, offset, cut = structure, 0, (False, False)
-    else:
-        scope, offset, cut = _scope_spec(
-            structure, [positions[ch] for ch in channels], config.scope_margin
-        )
-    measured_dofs = [positions[ch] - offset for ch in channels]
-    inflated_dofs = {positions[ch] - offset for ch in faulty}
-    state = filter_for_structure(
-        scope,
-        measured_dofs,
-        [var[ch] for ch in channels],
-        inflated=inflated_dofs,
-        inflation=config.variance_inflation,
-        input_scale=config.input_scale_factor * a_scale,
-        boundary_cut=cut,
+    ref, block, make_filter = _scoped_filter(
+        structure, all_windows, channels, healthy, config, noise_var, positions
     )
-    est, innov = run_filter(state, block)
+    est, innov = run_filter(make_filter(faulty), block)
     results = []
     for ch in sorted(faulty):
         row = channels.index(ch)
@@ -360,40 +433,13 @@ def missing_sensor_scan(
     node_set = sorted(node_set)
     if len(node_set) < 3:
         raise KalmanError("missing-sensor scan needs at least 3 nodes")
-    positions = positions or {ch: ch for ch in node_set}
-    ref = next((windows[ch] for ch in node_set if windows.get(ch) is not None), None)
-    if ref is None:
-        raise KalmanError("no channel delivered a window")
-    n_steps = ref.length
-    block = np.zeros((len(node_set), n_steps))
-    for i, ch in enumerate(node_set):
-        w = windows.get(ch)
-        if w is not None:
-            block[i] = w.samples
     present = [ch for ch in node_set if windows.get(ch) is not None]
-    a_scale = float(np.mean([np.sqrt(np.mean(block[node_set.index(ch)] ** 2)) for ch in present]))
-    if noise_var is None:
-        noise_var = {}
-    var = {ch: float(noise_var.get(ch, (0.1 * a_scale) ** 2)) for ch in node_set}
-    if config.model_scope == "full":
-        scope, offset, cut = structure, 0, (False, False)
-    else:
-        scope, offset, cut = _scope_spec(
-            structure, [positions[ch] for ch in node_set], config.scope_margin
-        )
-    measured_dofs = [positions[ch] - offset for ch in node_set]
+    _, block, make_filter = _scoped_filter(
+        structure, windows, node_set, present, config, noise_var, positions
+    )
     lambdas = {}
     for cand in node_set:
-        state = filter_for_structure(
-            scope,
-            measured_dofs,
-            [var[ch] for ch in node_set],
-            inflated={positions[cand] - offset},
-            inflation=config.variance_inflation,
-            input_scale=config.input_scale_factor * a_scale,
-            boundary_cut=cut,
-        )
-        est, _ = run_filter(state, block)
+        est, _ = run_filter(make_filter({cand}), block)
         kls = []
         for i, ch in enumerate(node_set):
             if ch == cand:

@@ -718,13 +718,16 @@ def run_scenario(config, out_dir: str) -> RunManifest:
                 node_set = sorted({ch, *graph.neighbors[ch]})
                 if len(node_set) < 3:
                     continue
-                scan = kal.missing_sensor_scan(
-                    node_set,
-                    {c: view.get(c) for c in node_set},
-                    cfg.spec,
-                    config=cfg.reconstruction,
-                    noise_var=noise_var,
-                )
+                try:
+                    scan = kal.missing_sensor_scan(
+                        node_set,
+                        {c: view.get(c) for c in node_set},
+                        cfg.spec,
+                        config=cfg.reconstruction,
+                        noise_var=noise_var,
+                    )
+                except kal.KalmanError:
+                    continue
                 if scan.reported == ch:
                     decisions[ch] = replace(decisions[ch], verdict="missing")
                 helper = min(c for c in node_set if c != ch)

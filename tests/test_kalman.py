@@ -1,7 +1,10 @@
 """Kalman reconstruction and KL-KF missing-sensor tests."""
 
+import copy
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from shmsim.kalman import (
     KalmanError,
@@ -18,6 +21,7 @@ from shmsim.kalman import (
 from shmsim.sensing import SignalWindow
 from shmsim.structure import (
     ExcitationSpec,
+    StructureSpec,
     discrete_state_space,
     free_vibration,
     simulate_response,
@@ -198,6 +202,107 @@ class TestCovarianceProperties:
                 gain = np.linalg.solve(s.T, (p @ h.T).T).T
                 norms.append(float(np.linalg.norm(gain[:, ch])))
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def _stepwise_filter(state, measurements):
+    """Reference filter: one kf_predict/kf_correct pair per sample."""
+    est = np.empty_like(measurements)
+    innov = np.empty_like(measurements)
+    for t in range(measurements.shape[1]):
+        x_prior, p_prior = kf_predict(state)
+        innov[:, t] = measurements[:, t] - state.measurement @ x_prior
+        kf_correct(state, x_prior, p_prior, measurements[:, t])
+        est[:, t] = state.measurement @ state.x
+    return est, innov
+
+
+def _neighborhood_filter(spec, noise_var, rms, inflated_node=6):
+    """Nodes 4-6 on stories 3-7 of the chain: both ends are boundary cuts."""
+    sub = StructureSpec(
+        masses=spec.masses[3:8], stiffnesses=spec.stiffnesses[3:8], dt=spec.dt, duration=2 * spec.dt
+    )
+    return filter_for_structure(
+        sub,
+        [1, 2, 3],
+        [noise_var[ch] for ch in (4, 5, 6)],
+        inflated={inflated_node - 3},
+        input_scale=float(np.mean(rms[[ch for ch in (4, 5, 6) if ch != inflated_node]])),
+        boundary_cut=(True, True),
+    )
+
+
+class TestRunFilter:
+    """The lean loop with the steady-state freeze against the per-step recursion."""
+
+    # an inflated middle node leaves a slow mode: its gain is still 1e-4 away
+    # from steady state at the end of the window, so that filter never freezes
+    @pytest.mark.parametrize(
+        "scope,inflated_node,freezes",
+        [("full", 5, True), ("neighborhood", 6, True), ("neighborhood", 5, False)],
+    )
+    def test_matches_stepwise_recursion(self, chain_round, scope, inflated_node, freezes):
+        spec, clean, rms, windows, noise_var = chain_round
+        channels = list(range(N)) if scope == "full" else [4, 5, 6]
+
+        def build():
+            if scope == "neighborhood":
+                return _neighborhood_filter(spec, noise_var, rms, inflated_node)
+            return filter_for_structure(
+                spec, channels, [noise_var[ch] for ch in channels],
+                inflated={inflated_node}, input_scale=float(np.mean(rms)),
+            )
+
+        block = np.stack([windows[ch].samples for ch in channels])
+        lean, stepwise = build(), build()
+        est, innov, min_eigs = run_filter(lean, block, track_covariance=True)
+        ref_est, ref_innov = _stepwise_filter(stepwise, block)
+        scale = float(np.sqrt(np.mean(block**2)))
+        assert np.max(np.abs(est - ref_est)) <= 1e-6 * scale
+        assert np.max(np.abs(innov - ref_innov)) <= 1e-6 * scale
+        # after the freeze the covariance, and so its minimum eigenvalue, stops changing
+        assert (min_eigs[-1] == min_eigs[-2]) == freezes
+        assert min_eigs[-1] == np.linalg.eigvalsh(lean.P)[0]
+        for mine, ref in ((lean.x, stepwise.x), (lean.P, stepwise.P), (lean.gain, stepwise.gain)):
+            assert np.max(np.abs(mine - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_empty_block(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        state = _neighborhood_filter(spec, noise_var, rms)
+        x0, p0 = state.x.copy(), state.P.copy()
+        est, innov, min_eigs = run_filter(state, np.zeros((3, 0)), track_covariance=True)
+        assert est.shape == innov.shape == (3, 0)
+        assert min_eigs.shape == (0,)
+        assert np.array_equal(state.x, x0) and np.array_equal(state.P, p0)
+        assert state.gain is None
+
+    def test_no_steady_state_runs_full_recursion(self):
+        """An unobserved unstable mode leaves the DARE without a solution; no freeze happens."""
+        state = _simple_state(meas=np.eye(4)[1:], seed=7)
+        state.transition = np.diag([1.05, 0.9, 0.8, 0.7])
+        state.process_noise = np.diag([0.0, 0.1, 0.1, 0.1])
+        state.measurement_noise = np.eye(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_discrete_are(
+                state.transition.T,
+                state.measurement.T,
+                state.process_noise,
+                state.measurement_noise,
+            )
+        block = np.random.default_rng(8).standard_normal((3, 200))
+        reference = copy.deepcopy(state)
+        est, innov = run_filter(state, block)
+        ref_est, ref_innov = _stepwise_filter(reference, block)
+        assert np.allclose(est, ref_est, rtol=1e-9, atol=1e-12)
+        assert np.allclose(innov, ref_innov, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.P, reference.P, rtol=1e-9)
+        assert np.allclose(state.gain, reference.gain, rtol=1e-9, atol=1e-12)
+
+    def test_singular_innovation_raised(self):
+        state = _simple_state(seed=3)
+        state.P = np.zeros((4, 4))
+        state.measurement_noise = np.diag([1.0, 1.0, 1.0, 0.0])  # bypasses the constructor guard
+        with pytest.raises(KalmanError, match="condition number"):
+            run_filter(state, np.zeros((4, 5)))
 
 
 class TestReconstruction:

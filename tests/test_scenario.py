@@ -111,6 +111,21 @@ class TestModes:
         rows = read_rows(tmp_path / "d" / "reconstructions.csv")
         assert rows and all(r["node"] == "5" for r in rows)
 
+    def test_silent_scan_neighborhood_keeps_faulty_verdict(self, tmp_path):
+        """Sensors 3-7 go silent, so node 5's scan neighbourhood delivers nothing."""
+        cfg = {
+            "seed": 1,
+            "mode": "dependshm",
+            "monitoring": {
+                "training_rounds": 12, "rounds": 1, "n_averages": 15, "segment_length": 256
+            },
+            "faults": [{"kind": "missing", "sensor_id": s, "onset_round": 12} for s in range(3, 8)],
+            "damage": None,
+        }
+        run_scenario(cfg, str(tmp_path / "s"))
+        rows = read_rows(tmp_path / "s" / "detections.csv")
+        assert {r["node"]: r["verdict"] for r in rows}["5"] == "faulty"
+
     def test_compare_single_mode_matches_run_summary(self, tmp_path):
         table = compare_schemes(fast_config(), ["dependshm"], str(tmp_path / "cmp"))
         rows = read_rows(table)
