@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,13 +30,26 @@ from . import structure as struct
 
 FORMAT_VERSION = "shmsim/v1"
 
-MODES = (
-    "dependshm",
-    "cshm_centralized",
-    "raw_centralized",
-    "no_recovery",
-    "frequency_matching_baseline",
-)
+
+@dataclass(frozen=True)
+class _Policy:
+    """The four decisions that set one monitoring scheme apart from the others."""
+
+    distributed: bool  # raw windows go to the neighbours, else over the route to the BS
+    recovery: bool  # flagged channels are scanned and reconstructed
+    reports: bool  # nodes extract local modes and report them to the BS
+    frequency_matching: bool  # NFMC detector; flagged channels are isolated
+
+
+_POLICIES = {
+    # mode: distributed, recovery, reports, frequency_matching
+    "dependshm": _Policy(True, True, True, False),
+    "cshm_centralized": _Policy(False, True, True, False),
+    "raw_centralized": _Policy(False, False, False, False),
+    "no_recovery": _Policy(True, False, True, False),
+    "frequency_matching_baseline": _Policy(True, False, True, True),
+}
+MODES = tuple(_POLICIES)
 
 # seed-stream tags (SeedSequence spawn keys)
 _AMBIENT, _NOISE, _FAULT, _LOSS = 1, 2, 3, 4
@@ -136,6 +149,10 @@ class ScenarioConfig:
         return self.training_rounds + self.test_rounds
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(raw: dict):
     """Resolve defaults and collect every validation error before failing.
 
@@ -144,8 +161,12 @@ def validate_config(raw: dict):
     """
     errors = []
     cfg = _merge(DEFAULTS, raw)
+    for key, default in DEFAULTS.items():
+        if isinstance(default, dict) and not isinstance(cfg[key], dict):
+            errors.append(f"{key}: a mapping is required")
+            cfg[key] = copy.deepcopy(default)
 
-    if "seed" not in cfg or not isinstance(cfg["seed"], int):
+    if not _is_int(cfg.get("seed")):
         errors.append("seed: a mandatory integer seed is required")
         cfg["seed"] = 0
     if cfg["mode"] not in MODES:
@@ -154,10 +175,11 @@ def validate_config(raw: dict):
 
     mon = cfg["monitoring"]
     for key in ("training_rounds", "rounds", "n_averages", "segment_length"):
-        if not isinstance(mon.get(key), int) or mon[key] <= 0:
+        if not _is_int(mon.get(key)) or mon[key] <= 0:
             errors.append(f"monitoring.{key}: positive integer required")
-    training_rounds = max(1, int(mon.get("training_rounds", 8)))
-    test_rounds = max(1, int(mon.get("rounds", 6)))
+            mon[key] = DEFAULTS["monitoring"][key]
+    training_rounds = mon["training_rounds"]
+    test_rounds = mon["rounds"]
     try:
         window = sen.sampling_points(mon["n_averages"], mon["segment_length"])
     except Exception as exc:
@@ -227,24 +249,33 @@ def validate_config(raw: dict):
             errors.append(f"damage: {exc}")
 
     faults = []
+    if not isinstance(cfg["faults"], (list, tuple)):
+        errors.append("faults: a list of fault entries is required")
+        cfg["faults"] = []
     for i, f in enumerate(cfg["faults"]):
+        if not isinstance(f, dict):
+            errors.append(f"faults[{i}]: a fault entry must be a mapping")
+            continue
         f = dict(f)
         kind = f.get("kind")
         if kind not in sen.FAULT_KINDS:
             errors.append(f"faults[{i}].kind: {kind!r} not in {sen.FAULT_KINDS}")
             continue
-        if not isinstance(f.get("sensor_id"), int) or not (
+        if not _is_int(f.get("sensor_id")) or not (
             0 <= f["sensor_id"] < (spec.n_dof if spec else 1)
         ):
             errors.append(f"faults[{i}].sensor_id: out of range")
             continue
-        if not isinstance(f.get("onset_round"), int) or f["onset_round"] < training_rounds:
+        if not _is_int(f.get("onset_round")) or f["onset_round"] < training_rounds:
             errors.append(
                 f"faults[{i}].onset_round: must be an integer >= training_rounds "
                 f"({training_rounds}); training data is fault-free by contract"
             )
             continue
-        f.setdefault("duration_rounds", None)  # None: to end of run
+        duration = f.setdefault("duration_rounds", None)  # None: to end of run
+        if duration is not None and (not _is_int(duration) or duration <= 0):
+            errors.append(f"faults[{i}].duration_rounds: positive integer or null required")
+            continue
         faults.append(f)
 
     top = cfg["topology"]
@@ -301,13 +332,22 @@ def validate_config(raw: dict):
     if band is None:
         lo = forcing_frequency + 0.3 * max(f1 - forcing_frequency, 0.05 * f1)
         band = (lo, 1.15 * f_max)
-    modal_config = mod.ModalConfig(
-        segment_length=int(mon["segment_length"]) if isinstance(mon.get("segment_length"), int) else 256,
-        band=tuple(band),
-        peak_snr=float(mcfg["peak_snr"]),
-        max_modes=int(mcfg["max_modes"]),
-        damage_threshold_sigmas=float(mcfg["damage_threshold_sigmas"]),
-    )
+    try:
+        lo, hi = (float(v) for v in band)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
+    if not 0.0 <= lo < hi:
+        errors.append(f"modal.band: {band!r} is not a [low, high] pair with 0 <= low < high")
+    try:
+        modal_config = mod.ModalConfig(
+            segment_length=mon["segment_length"],
+            band=(lo, hi),
+            peak_snr=float(mcfg["peak_snr"]),
+            max_modes=int(mcfg["max_modes"]),
+            damage_threshold_sigmas=float(mcfg["damage_threshold_sigmas"]),
+        )
+    except (TypeError, ValueError) as exc:
+        errors.append(f"modal: {exc}")
 
     if errors:
         raise ConfigError(errors)
@@ -319,7 +359,7 @@ def validate_config(raw: dict):
     resolved["topology"]["r_min"] = topology.r_min
     resolved["topology"]["r_max"] = topology.r_max
     resolved["topology"]["bs"] = [float(v) for v in topology.bs_position]
-    resolved["modal"]["band"] = [float(band[0]), float(band[1])]
+    resolved["modal"]["band"] = [lo, hi]
     resolved["faults"] = faults
 
     config = ScenarioConfig(
@@ -359,15 +399,7 @@ class RunManifest:
     outputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "seed": self.seed,
-            "mode": self.mode,
-            "config": self.config,
-            "fault_schedule": self.fault_schedule,
-            "damage_schedule": self.damage_schedule,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
 
 def _fmt(x) -> str:
@@ -400,36 +432,25 @@ class _Simulator:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self._sine_cache = {}
-        seq = np.random.SeedSequence(config.seed)
-        self._ambient_root, self._noise_root, self._fault_root, self._loss_root = seq.spawn(4)
+        self._sine_cache = {}  # damaged? -> deterministic sine response
         # fault-free noise scale frozen at initialization from round-0 dynamics
         clean0 = self._clean_round(0)
         self.signal_rms = np.sqrt(np.mean(clean0**2, axis=1))
         self.noise_std = config.sensors.get("noise_fraction", 0.1) * self.signal_rms
 
-    def spec_for_round(self, d: int) -> struct.StructureSpec:
-        cfg = self.config
-        if cfg.damage is not None and d >= int(cfg.damage["onset_round"]):
-            return cfg.damaged_spec
-        return cfg.spec
-
-    def _sine_response(self, spec) -> np.ndarray:
-        key = id(spec)
-        if key not in self._sine_cache:
-            exc = struct.ExcitationSpec(
-                kind=self.config.excitation["kind"],
-                amplitude=float(self.config.excitation["amplitude"]),
-                frequency=float(self.config.excitation["frequency"]),
-            )
-            rec = struct.simulate_response(spec, exc)
-            self._sine_cache[key] = rec.accelerations[:, : self.config.window]
-        return self._sine_cache[key]
-
     def _clean_round(self, d: int) -> np.ndarray:
         cfg = self.config
-        spec = self.spec_for_round(d)
-        acc = self._sine_response(spec).copy()
+        damaged = cfg.damage is not None and d >= int(cfg.damage["onset_round"])
+        spec = cfg.damaged_spec if damaged else cfg.spec
+        if damaged not in self._sine_cache:
+            exc = struct.ExcitationSpec(
+                kind=cfg.excitation["kind"],
+                amplitude=float(cfg.excitation["amplitude"]),
+                frequency=float(cfg.excitation["frequency"]),
+            )
+            rec = struct.simulate_response(spec, exc)
+            self._sine_cache[damaged] = rec.accelerations[:, : cfg.window]
+        acc = self._sine_cache[damaged].copy()
         frac = float(cfg.excitation.get("ambient_fraction", 0.0))
         if frac > 0:
             seed = np.random.SeedSequence([cfg.seed, _AMBIENT, d])
@@ -524,11 +545,25 @@ def _ops_kf(window: int, state_dim: int) -> float:
     return float(window) * state_dim**3
 
 
+def _send_to_bs(energy, d: int, hops, bits: float, params) -> net.Transmission:
+    """Charge the relays of one packet's route to the BS; return the source's first hop.
+
+    ``hops`` is the route as (from, to, distance) triples, source first.
+    """
+    for i, (a, b, dist) in enumerate(hops):
+        if i:
+            energy.entry(d, a).e_t += params.tx_energy(bits, dist)
+        if b != net.BS:
+            energy.entry(d, b).e_t += params.rx_energy(bits)
+    return net.Transmission(bits, hops[0][2])
+
+
 def run_scenario(config, out_dir: str) -> RunManifest:
     """Execute a full scenario and write the CSV artifacts into ``out_dir``."""
     if isinstance(config, dict):
         config, _ = validate_config(config)
     cfg = config
+    policy = _POLICIES[cfg.mode]
     os.makedirs(out_dir, exist_ok=True)
     sim = _Simulator(cfg)
     loss_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _LOSS]))
@@ -546,9 +581,6 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         ]
     )
     noise_var = {ch: float(sim.noise_std[ch] ** 2) for ch in range(cfg.n_nodes)}
-    distributed = cfg.mode in ("dependshm", "no_recovery", "frequency_matching_baseline")
-    recovery = cfg.mode in ("dependshm", "cshm_centralized")
-    spacing = cfg.topology.field_size[0] / max(1, cfg.n_nodes - 1)
 
     # reference node for the cross-spectrum sign convention
     ref_of = {
@@ -563,13 +595,15 @@ def run_scenario(config, out_dir: str) -> RunManifest:
     energy = net.EnergyLedger()
     dependability = mod.DependabilityReport()
     dep_rows = []
-    lambda_healthy, lambda_faulty = [], []
     raw_bits = (cfg.window * cfg.energy.bytes_per_sample + cfg.energy.header_bytes) * 8
-    final_bits = (cfg.energy.mode_report_bytes + cfg.energy.header_bytes) * 8
-    freqset_bits = (cfg.energy.frequency_set_bytes + cfg.energy.header_bytes) * 8
-    bs_path = {
-        ch: net.shortest_path_route(graph.routing, ch, net.BS) for ch in range(cfg.n_nodes)
-    }
+    report_bytes = (
+        cfg.energy.frequency_set_bytes if policy.frequency_matching else cfg.energy.mode_report_bytes
+    )
+    report_bits = (report_bytes + cfg.energy.header_bytes) * 8
+    bs_hops = {}  # node -> route to the BS as (from, to, distance) hops
+    for ch in range(cfg.n_nodes):
+        path = net.shortest_path_route(graph.routing, ch, net.BS)
+        bs_hops[ch] = [(a, b, cfg.topology.distance(a, b)) for a, b in zip(path[:-1], path[1:])]
 
     model = None
     training_windows = {ch: [] for ch in range(cfg.n_nodes)}
@@ -579,40 +613,44 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         {det.CorrelationModel.pair_key(i, j) for i in range(cfg.n_nodes) for j in graph.neighbors[i]}
     )
 
-    def extract_all(final_windows, d):
-        estimates = {}
-        for ch in range(cfg.n_nodes):
-            w = final_windows.get(ch)
-            ref = ref_of[ch]
-            ref_w = final_windows.get(ref) if ref != ch else None
-            if w is None:
-                estimates[ch] = mod.LocalModeEstimate(
-                    sensor_id=ch,
-                    round_index=d,
-                    frequencies=np.empty(0),
-                    amplitudes=np.empty(0),
-                    reference_id=ch,
-                )
-                continue
-            if ref_w is None:
-                ref, ref_w = ch, None
-            estimates[ch] = mod.extract_local_modes(w, cfg.modal, reference=ref_w, reference_id=ref)
-        return estimates
+    def assemble(windows, d, *stages):
+        """Extract every node's local modes from ``windows`` and assemble them at the BS.
 
-    def add_mode_rows(shape, d, stage):
-        for k in range(shape.n_modes):
-            for loc in range(cfg.n_nodes):
-                mode_rows.append(
-                    (
-                        d,
-                        stage,
-                        k,
-                        shape.frequencies[k],
-                        loc,
-                        shape.vectors[loc, k],
-                        int(shape.missing[loc, k]),
+        The shape goes into modes.csv once under each of ``stages``; a failed
+        assembly records nothing and returns None.
+        """
+        estimates = []
+        for ch in range(cfg.n_nodes):
+            w = windows.get(ch)
+            if w is None:
+                estimates.append(
+                    mod.LocalModeEstimate(
+                        sensor_id=ch,
+                        round_index=d,
+                        frequencies=np.empty(0),
+                        amplitudes=np.empty(0),
+                        reference_id=ch,
                     )
                 )
+                continue
+            ref = ref_of[ch]
+            ref_w = windows.get(ref) if ref != ch else None
+            if ref_w is None:
+                ref = ch
+            estimates.append(mod.extract_local_modes(w, cfg.modal, reference=ref_w, reference_id=ref))
+        try:
+            shape = mod.assemble_global(
+                estimates, tolerance_hz=cluster_tol_hz, n_locations=cfg.n_nodes, round_index=d
+            )
+        except mod.ModalError:
+            return None
+        mode_rows.extend(
+            (d, stage, k, shape.frequencies[k], loc, shape.vectors[loc, k], int(shape.missing[loc, k]))
+            for stage in stages
+            for k in range(shape.n_modes)
+            for loc in range(cfg.n_nodes)
+        )
+        return shape
 
     for d in range(cfg.total_rounds):
         clean, windows = sim.measured_round(d)
@@ -622,7 +660,7 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         loss_draws = loss_rng.uniform(size=(cfg.n_nodes, 2))
         active = {e["sensor_id"] for e in fault_schedule if _fault_active(e, d)}
         training = d < cfg.training_rounds
-        if distributed or cfg.energy.packet_loss <= 0.0:
+        if policy.distributed or cfg.energy.packet_loss <= 0.0:
             view = delivered
         else:
             # raw windows lost in transit never reach the BS, unretransmitted
@@ -633,41 +671,20 @@ def run_scenario(config, out_dir: str) -> RunManifest:
 
         # ---- energy: sampling + data movement -------------------------------
         for ch in range(cfg.n_nodes):
-            traffic = []
-            received = 0.0
-            comp = 0.0
-            if distributed:
-                traffic.append(net.Transmission(raw_bits, cfg.topology.r_min))
-                received += raw_bits * len(graph.neighbors[ch])
+            n_neighbors = len(graph.neighbors[ch])
+            if policy.distributed:
+                traffic = [net.Transmission(raw_bits, cfg.topology.r_min)]
+                pairs = n_neighbors if training else 2 * n_neighbors
+                comp = pairs * _ops_mi_pair(cfg.window, cfg.detection.bins)
             else:
-                path = bs_path[ch]
-                for a, b in zip(path[:-1], path[1:]):
-                    hop = cfg.topology.distance(a, b)
-                    if a == ch:
-                        traffic.append(net.Transmission(raw_bits, hop))
-                    else:
-                        energy.entry(d, a).e_t += cfg.energy.tx_energy(raw_bits, hop)
-                    if b != net.BS:
-                        energy.entry(d, b).e_t += cfg.energy.rx_energy(raw_bits)
-            if distributed and not training:
-                comp += 2 * len(graph.neighbors[ch]) * _ops_mi_pair(cfg.window, cfg.detection.bins)
-            if training and distributed:
-                comp += len(graph.neighbors[ch]) * _ops_mi_pair(cfg.window, cfg.detection.bins)
-            if cfg.mode != "raw_centralized":
+                traffic = [_send_to_bs(energy, d, bs_hops[ch], raw_bits, cfg.energy)]
+                comp = 0.0
+            if policy.reports:
                 comp += _ops_welch(cfg.window, cfg.segment_length)
-                payload = freqset_bits if cfg.mode == "frequency_matching_baseline" else final_bits
                 # mode reports get one retransmission when the first try is lost
                 tries = 2 if loss_draws[ch, 1] < cfg.energy.packet_loss else 1
                 for _ in range(tries):
-                    path = bs_path[ch]
-                    for a, b in zip(path[:-1], path[1:]):
-                        hop = cfg.topology.distance(a, b)
-                        if a == ch:
-                            traffic.append(net.Transmission(payload, hop))
-                        else:
-                            energy.entry(d, a).e_t += cfg.energy.tx_energy(payload, hop)
-                        if b != net.BS:
-                            energy.entry(d, b).e_t += cfg.energy.rx_energy(payload)
+                    traffic.append(_send_to_bs(energy, d, bs_hops[ch], report_bits, cfg.energy))
             net.charge_round(
                 energy,
                 ch,
@@ -676,26 +693,21 @@ def run_scenario(config, out_dir: str) -> RunManifest:
                 cfg.window,
                 cfg.energy,
                 round_index=d,
-                received_bits=received,
+                received_bits=raw_bits * n_neighbors if policy.distributed else 0.0,
             )
 
         if training:
             for ch in range(cfg.n_nodes):
                 if view[ch] is not None:
                     training_windows[ch].append(view[ch])
-            final_windows = dict(view)
-            estimates = extract_all(final_windows, d)
-            try:
-                shape = mod.assemble_global(
-                    estimates.values(), tolerance_hz=cluster_tol_hz,
-                    n_locations=cfg.n_nodes, round_index=d,
-                )
-                add_mode_rows(shape, d, "baseline")
-                k = shape.nearest_mode(cfg.base_frequency)
-                baseline_curvs.append(mod.curvature(shape.mode(k)))
-                baseline_freq = float(shape.frequencies[k])
-            except mod.ModalError:
-                pass
+            shape = assemble(view, d, "baseline")
+            if shape is not None:
+                try:
+                    k = shape.nearest_mode(cfg.base_frequency)
+                    baseline_curvs.append(mod.curvature(shape.mode(k)))
+                    baseline_freq = float(shape.frequencies[k])
+                except mod.ModalError:
+                    pass
             if d == cfg.training_rounds - 1:
                 model = det.train_correlation_model(
                     training_windows, cfg.detection, pairs=mi_pairs
@@ -703,7 +715,7 @@ def run_scenario(config, out_dir: str) -> RunManifest:
             continue
 
         # ---- detection -------------------------------------------------------
-        if cfg.mode == "frequency_matching_baseline":
+        if policy.frequency_matching:
             decisions = _frequency_matching_decisions(cfg, view, d)
         else:
             decisions = det.detection_round(
@@ -711,7 +723,7 @@ def run_scenario(config, out_dir: str) -> RunManifest:
             )
 
         # ---- missing-node refinement (KL-KF scan) ----------------------------
-        if recovery:
+        if policy.recovery:
             for ch in sorted(decisions):
                 if view.get(ch) is not None or decisions[ch].verdict != "faulty":
                     continue
@@ -730,7 +742,8 @@ def run_scenario(config, out_dir: str) -> RunManifest:
                     continue
                 if scan.reported == ch:
                     decisions[ch] = replace(decisions[ch], verdict="missing")
-                helper = min(c for c in node_set if c != ch)
+                # the scan runs on the lowest-id node that delivered a window
+                helper = min(c for c in node_set if view.get(c) is not None)
                 scan_ops = len(node_set) * _ops_kf(
                     cfg.window, 2 * min(cfg.n_nodes, len(node_set) + 2)
                 )
@@ -742,21 +755,19 @@ def run_scenario(config, out_dir: str) -> RunManifest:
             ch for ch, dec in decisions.items() if dec.verdict in ("faulty", "missing")
         )
         for ch, dec in sorted(decisions.items()):
-            truth = ch in active
-            (lambda_faulty if truth else lambda_healthy).append(dec.lambda_agg)
-            detections_rows.append((d, ch, dec.lambda_agg, dec.verdict, int(truth)))
+            detections_rows.append((d, ch, dec.lambda_agg, dec.verdict, int(ch in active)))
 
         # ---- reconstruction --------------------------------------------------
         final_windows = dict(view)
-        if recovery and flagged:
+        if policy.recovery and flagged:
             truth_map = {ch: clean[ch] for ch in range(cfg.n_nodes)}
-            if cfg.mode == "cshm_centralized":
-                batches = [(sorted(flagged), sorted(range(cfg.n_nodes)))]
-            else:
+            if policy.distributed:
                 batches = []
                 for ch in flagged:
                     scope = [ch] + [j for j in graph.neighbors[ch] if j not in flagged]
                     batches.append(([ch], sorted(scope)))
+            else:
+                batches = [(flagged, list(range(cfg.n_nodes)))]
             for faulty, scope in batches:
                 scope_windows = {c: view.get(c) for c in scope}
                 try:
@@ -771,16 +782,16 @@ def run_scenario(config, out_dir: str) -> RunManifest:
                     )
                 except kal.KalmanError:
                     continue
-                helper = min(c for c in scope if c not in faulty)
-                state_dim = 2 * (
-                    cfg.n_nodes
-                    if cfg.reconstruction.model_scope == "full"
-                    else min(
-                        cfg.n_nodes,
-                        max(scope) - min(scope) + 1 + 2 * cfg.reconstruction.scope_margin,
+                if policy.distributed:
+                    helper = min(c for c in scope if c not in faulty)
+                    state_dim = 2 * (
+                        cfg.n_nodes
+                        if cfg.reconstruction.model_scope == "full"
+                        else min(
+                            cfg.n_nodes,
+                            max(scope) - min(scope) + 1 + 2 * cfg.reconstruction.scope_margin,
+                        )
                     )
-                )
-                if cfg.mode != "cshm_centralized":
                     net.charge_round(
                         energy,
                         helper,
@@ -803,37 +814,22 @@ def run_scenario(config, out_dir: str) -> RunManifest:
                     )
 
         # ---- modal monitoring and diagnosis ----------------------------------
-        verdict_map = {ch: dec.verdict for ch, dec in decisions.items()}
-        if cfg.mode == "frequency_matching_baseline":
+        if policy.frequency_matching:
             for ch in flagged:  # NFMC isolates faulty sensors instead of recovering
                 final_windows[ch] = None
-        damage_reports = []
-        diagnosis = None
-        raw_estimates = extract_all(view, d)
-        try:
-            raw_shape = mod.assemble_global(
-                raw_estimates.values(), tolerance_hz=cluster_tol_hz,
-                n_locations=cfg.n_nodes, round_index=d,
-            )
-            add_mode_rows(raw_shape, d, "raw")
-        except mod.ModalError:
-            raw_shape = None
-        if recovery or cfg.mode in ("no_recovery", "frequency_matching_baseline"):
-            final_estimates = extract_all(final_windows, d)
-            try:
-                final_shape = mod.assemble_global(
-                    final_estimates.values(), tolerance_hz=cluster_tol_hz,
-                    n_locations=cfg.n_nodes, round_index=d,
-                )
-                add_mode_rows(final_shape, d, "final")
-            except mod.ModalError:
-                final_shape = None
+        if all(final_windows[ch] is view[ch] for ch in view):
+            # no window was replaced, so the final shape is the raw one
+            stages = ("raw", "final") if policy.reports else ("raw",)
+            final_shape = assemble(view, d, *stages)
         else:
-            final_shape = raw_shape
+            assemble(view, d, "raw")
+            final_shape = assemble(final_windows, d, "final")
+        damage_reports = []
         if final_shape is not None and len(baseline_curvs) >= 2:
             baseline = mod.CurvatureBaseline.from_rounds(
                 baseline_curvs, baseline_freq if baseline_freq else cfg.base_frequency
             )
+            verdict_map = {ch: dec.verdict for ch, dec in decisions.items()}
             diagnosis = mod.diagnose(final_shape, baseline, verdict_map, cfg.modal)
             damage_reports = diagnosis.damage_locations
 
@@ -869,67 +865,41 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         )
 
     # ---- outputs ---------------------------------------------------------------
-    paths = {
-        "detections": os.path.join(out_dir, "detections.csv"),
-        "reconstructions": os.path.join(out_dir, "reconstructions.csv"),
-        "modes": os.path.join(out_dir, "modes.csv"),
-        "energy": os.path.join(out_dir, "energy.csv"),
-        "dependability": os.path.join(out_dir, "dependability.csv"),
-        "summary": os.path.join(out_dir, "summary.json"),
-        "manifest": os.path.join(out_dir, "manifest.json"),
-    }
-    _write_csv(
-        paths["detections"],
-        "detections",
-        ["round", "node", "lambda", "verdict", "truth"],
-        detections_rows,
+    tables = (
+        ("detections", ["round", "node", "lambda", "verdict", "truth"], detections_rows),
+        ("reconstructions", ["round", "node", "quality", "residual_rms"], reconstruction_rows),
+        (
+            "modes",
+            ["round", "stage", "mode", "frequency", "location", "amplitude", "missing"],
+            mode_rows,
+        ),
+        ("energy", ["round", "node", "e_T", "e_comp", "e_samp", "e_oh", "total"], energy.rows()),
+        (
+            "dependability",
+            [
+                "round",
+                "fault_tp", "fault_fp", "fault_fn", "fault_tn", "fault_accuracy",
+                "damage_tp", "damage_fp", "damage_fn", "damage_tn", "event_ability",
+            ],
+            dep_rows,
+        ),
     )
-    _write_csv(
-        paths["reconstructions"],
-        "reconstructions",
-        ["round", "node", "quality", "residual_rms"],
-        reconstruction_rows,
-    )
-    _write_csv(
-        paths["modes"],
-        "modes",
-        ["round", "stage", "mode", "frequency", "location", "amplitude", "missing"],
-        mode_rows,
-    )
-    _write_csv(
-        paths["energy"],
-        "energy",
-        ["round", "node", "e_T", "e_comp", "e_samp", "e_oh", "total"],
-        list(energy.rows()),
-    )
-    _write_csv(
-        paths["dependability"],
-        "dependability",
-        [
-            "round",
-            "fault_tp", "fault_fp", "fault_fn", "fault_tn", "fault_accuracy",
-            "damage_tp", "damage_fp", "damage_fn", "damage_tn", "event_ability",
-        ],
-        dep_rows,
-    )
+    outputs = {name: f"{name}.csv" for name, _, _ in tables}
+    outputs.update(summary="summary.json", manifest="manifest.json")
+    for name, header, rows in tables:
+        _write_csv(os.path.join(out_dir, outputs[name]), name, header, rows)
 
-    fault_rounds = sorted(
-        {
-            d
-            for d in range(cfg.training_rounds, cfg.total_rounds)
-            for e in fault_schedule
-            if _fault_active(e, d)
-        }
-    )
-    clean_rounds = [
-        d for d in range(cfg.training_rounds, cfg.total_rounds) if d not in fault_rounds
-    ]
+    test_rounds = range(cfg.training_rounds, cfg.total_rounds)
+    fault_rounds = [d for d in test_rounds if any(_fault_active(e, d) for e in fault_schedule)]
+    clean_rounds = [d for d in test_rounds if d not in fault_rounds]
     surcharge = None
     if fault_rounds and clean_rounds:
         mean_fault = float(np.mean([energy.round_total(d) for d in fault_rounds]))
         mean_clean = float(np.mean([energy.round_total(d) for d in clean_rounds]))
         if mean_fault > 0:
             surcharge = (mean_fault - mean_clean) / mean_fault
+    lambda_healthy = [row[2] for row in detections_rows if not row[4]]
+    lambda_faulty = [row[2] for row in detections_rows if row[4]]
     summary = {
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -944,9 +914,6 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         "n_reconstructions": len(reconstruction_rows),
         "fault_rate": len({e["sensor_id"] for e in fault_schedule}) / cfg.n_nodes,
     }
-    with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     manifest = RunManifest(
         format_version=FORMAT_VERSION,
         seed=cfg.seed,
@@ -954,11 +921,12 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         config=cfg.raw,
         fault_schedule=fault_schedule,
         damage_schedule=damage_schedule,
-        outputs={k: os.path.basename(v) for k, v in paths.items()},
+        outputs=outputs,
     )
-    with open(paths["manifest"], "w") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, payload in (("summary", summary), ("manifest", manifest.to_dict())):
+        with open(os.path.join(out_dir, outputs[name]), "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return manifest
 
 
@@ -998,6 +966,15 @@ def compare_schemes(config, modes, out_dir: str) -> str:
         base_raw = dict(config)
     else:
         base_raw = dict(config.raw)
+    columns = [
+        "detection_accuracy",
+        "event_detection_ability",
+        "mean_lambda_healthy",
+        "mean_lambda_faulty",
+        "energy_communication_j",
+        "energy_total_j",
+        "fault_round_surcharge",
+    ]
     rows = []
     for mode in modes:
         if mode not in MODES:
@@ -1007,34 +984,9 @@ def compare_schemes(config, modes, out_dir: str) -> str:
         run_scenario(raw, sub_dir)
         with open(os.path.join(sub_dir, "summary.json")) as fh:
             s = json.load(fh)
-        rows.append(
-            (
-                mode,
-                s["detection_accuracy"],
-                s["event_detection_ability"],
-                s["mean_lambda_healthy"] if s["mean_lambda_healthy"] is not None else "",
-                s["mean_lambda_faulty"] if s["mean_lambda_faulty"] is not None else "",
-                s["energy_communication_j"],
-                s["energy_total_j"],
-                s["fault_round_surcharge"] if s["fault_round_surcharge"] is not None else "",
-            )
-        )
+        rows.append([mode] + ["" if s[c] is None else s[c] for c in columns])
     path = os.path.join(out_dir, "comparison.csv")
-    _write_csv(
-        path,
-        "comparison",
-        [
-            "mode",
-            "detection_accuracy",
-            "event_detection_ability",
-            "mean_lambda_healthy",
-            "mean_lambda_faulty",
-            "energy_communication_j",
-            "energy_total_j",
-            "fault_round_surcharge",
-        ],
-        rows,
-    )
+    _write_csv(path, "comparison", ["mode"] + columns, rows)
     return path
 
 
@@ -1097,18 +1049,13 @@ def emit_plotdata(run_dir: str, which: str, out_path: str | None = None) -> str:
     if which == "energy":
         _, rows = read_csv(os.path.join(run_dir, "energy.csv"))
         per_round = {}
+        columns = ["e_T", "e_comp", "e_samp", "e_oh", "total"]
         for r in rows:
-            d = int(r["round"])
-            acc = per_round.setdefault(d, [0.0, 0.0, 0.0, 0.0, 0.0])
-            acc[0] += float(r["e_T"])
-            acc[1] += float(r["e_comp"])
-            acc[2] += float(r["e_samp"])
-            acc[3] += float(r["e_oh"])
-            acc[4] += float(r["total"])
+            acc = per_round.setdefault(int(r["round"]), [0.0] * len(columns))
+            for i, c in enumerate(columns):
+                acc[i] += float(r[c])
         out_rows = [[d] + per_round[d] for d in sorted(per_round)]
-        _write_csv(
-            out_path, "plot-energy", ["round", "e_T", "e_comp", "e_samp", "e_oh", "total"], out_rows
-        )
+        _write_csv(out_path, "plot-energy", ["round"] + columns, out_rows)
         return out_path
 
     # accuracy vs fault rate over a directory of runs

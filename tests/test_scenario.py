@@ -8,6 +8,7 @@ import pytest
 from conftest import fault_only_config, null_config, read_rows, read_summary
 from shmsim.cli import main as cli_main
 from shmsim.scenario import (
+    MODES,
     ConfigError,
     compare_schemes,
     emit_plotdata,
@@ -27,6 +28,17 @@ def fast_config(seed=1, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def silent_neighborhood_config(mode="dependshm"):
+    """Sensors 3-7 go silent, so node 5's scan neighbourhood delivers nothing."""
+    return {
+        "seed": 1,
+        "mode": mode,
+        "monitoring": {"training_rounds": 12, "rounds": 1, "n_averages": 15, "segment_length": 256},
+        "faults": [{"kind": "missing", "sensor_id": s, "onset_round": 12} for s in range(3, 8)],
+        "damage": None,
+    }
 
 
 def _digest(path):
@@ -76,11 +88,53 @@ class TestValidation:
         with pytest.raises(ConfigError, match="resonance"):
             validate_config(cfg)
 
+    @staticmethod
+    def _with(path, value):
+        """fast_config with the entry at ``path`` (keys or list indices) set to ``value``."""
+        cfg = fast_config()
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+        node[path[-1]] = value
+        return cfg
+
+    BAD_INPUTS = {
+        "training_rounds_not_int": (
+            ("monitoring", "training_rounds"), "abc", "monitoring.training_rounds"
+        ),
+        "band_one_edge": (("modal", "band"), [5], "modal.band"),
+        "faults_as_dict": (("faults",), {"kind": "stuck_constant", "sensor_id": 5}, "faults:"),
+        "seed_bool": (("seed",), True, "seed"),
+        "section_not_mapping": (("monitoring",), 5, "monitoring: a mapping"),
+        "duration_negative": (("faults", 0, "duration_rounds"), -3, "faults[0].duration_rounds"),
+        "duration_not_int": (("faults", 0, "duration_rounds"), "x", "faults[0].duration_rounds"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_raises_config_error(self, case):
+        path, value, fragment = self.BAD_INPUTS[case]
+        with pytest.raises(ConfigError) as err:
+            validate_config(self._with(path, value))
+        assert any(fragment in e for e in err.value.errors), err.value.errors
+
+    def test_bad_inputs_listed_together(self):
+        cfg = fast_config(seed=True, modal={"band": [5]})
+        cfg["faults"] = [
+            {"kind": "stuck_constant", "sensor_id": 5, "onset_round": 5, "duration_rounds": -3},
+            {"kind": "offset_bias", "sensor_id": 2, "onset_round": 5, "duration_rounds": "x"},
+        ]
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert [e.split(":")[0] for e in err.value.errors] == [
+            "seed", "faults[0].duration_rounds", "faults[1].duration_rounds", "modal.band"
+        ]
+
 
 class TestDeterminism:
-    def test_rerun_is_byte_identical(self, tmp_path):
-        run_scenario(fast_config(), str(tmp_path / "a"))
-        run_scenario(fast_config(), str(tmp_path / "b"))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rerun_is_byte_identical(self, tmp_path, mode):
+        run_scenario(fast_config(mode=mode), str(tmp_path / "a"))
+        run_scenario(fast_config(mode=mode), str(tmp_path / "b"))
         for name in CSV_FILES + ("manifest.json", "summary.json"):
             assert _digest(tmp_path / "a" / name) == _digest(tmp_path / "b" / name), name
 
@@ -113,18 +167,40 @@ class TestModes:
 
     def test_silent_scan_neighborhood_keeps_faulty_verdict(self, tmp_path):
         """Sensors 3-7 go silent, so node 5's scan neighbourhood delivers nothing."""
-        cfg = {
-            "seed": 1,
-            "mode": "dependshm",
-            "monitoring": {
-                "training_rounds": 12, "rounds": 1, "n_averages": 15, "segment_length": 256
-            },
-            "faults": [{"kind": "missing", "sensor_id": s, "onset_round": 12} for s in range(3, 8)],
-            "damage": None,
-        }
-        run_scenario(cfg, str(tmp_path / "s"))
+        run_scenario(silent_neighborhood_config(), str(tmp_path / "s"))
         rows = read_rows(tmp_path / "s" / "detections.csv")
         assert {r["node"]: r["verdict"] for r in rows}["5"] == "faulty"
+
+    def test_scan_energy_goes_to_a_delivering_node(self, tmp_path):
+        """A silent node pays for no scan: its e_comp matches the scan-free no_recovery run."""
+        e_comp = {}
+        for mode in ("dependshm", "no_recovery"):
+            run_scenario(silent_neighborhood_config(mode), str(tmp_path / mode))
+            e_comp[mode] = {
+                int(r["node"]): float(r["e_comp"])
+                for r in read_rows(tmp_path / mode / "energy.csv")
+                if r["round"] == "12"
+            }
+        for node in range(3, 8):
+            assert e_comp["dependshm"][node] == e_comp["no_recovery"][node], node
+
+    # mode -> (reports modes, recovers flagged channels)
+    POLICY = {
+        "dependshm": (True, True),
+        "cshm_centralized": (True, True),
+        "raw_centralized": (False, False),
+        "no_recovery": (True, False),
+        "frequency_matching_baseline": (True, False),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_policy_table_shapes_the_artifacts(self, tmp_path, mode):
+        """Final mode rows iff the scheme reports modes; reconstructions iff it recovers."""
+        reports, recovers = self.POLICY[mode]
+        run_scenario(fast_config(mode=mode), str(tmp_path / mode))
+        stages = {r["stage"] for r in read_rows(tmp_path / mode / "modes.csv")}
+        assert ("final" in stages) == reports
+        assert bool(read_rows(tmp_path / mode / "reconstructions.csv")) == recovers
 
     def test_compare_single_mode_matches_run_summary(self, tmp_path):
         table = compare_schemes(fast_config(), ["dependshm"], str(tmp_path / "cmp"))
