@@ -278,68 +278,6 @@ class NodeDecision:
             raise DetectionError("aggregated lambda must be >= 0")
 
 
-def decide_faulty(
-    node_id: int,
-    neighbor_windows: dict,
-    model: CorrelationModel,
-    config: DetectionConfig,
-    round_index: int = 0,
-    exclude: set | None = None,
-) -> NodeDecision:
-    """Per-node faulty/non-faulty decision from neighbor pair indicators.
-
-    ``neighbor_windows`` maps channel id -> SignalWindow (or None when that
-    channel delivered nothing) and must contain this node plus >= 1 neighbor.
-    A node that delivered no window is marked faulty outright (its neighbors
-    cannot see it); the missing-sensor scan refines that verdict later.
-    ``exclude`` drops neighbors already deemed faulty from the aggregation,
-    which is how exchanged decisions feed back into a second pass.
-    """
-    if node_id not in neighbor_windows:
-        raise DetectionError(f"windows for node {node_id} not supplied")
-    neighbors = [ch for ch in neighbor_windows if ch != node_id]
-    if not neighbors:
-        raise DetectionError(f"node {node_id} has no neighbors (topology violation)")
-    own = neighbor_windows[node_id]
-    if own is None:
-        return NodeDecision(
-            node_id=node_id,
-            round_index=round_index,
-            lambdas={},
-            lambda_agg=LAMBDA_MAX,
-            verdict="faulty",
-        )
-    lambdas = {}
-    for j in sorted(neighbors):
-        w_j = neighbor_windows[j]
-        if w_j is None:
-            continue
-        omega = model.pair_mi(own, w_j, node_id, j)
-        lambdas[j] = fault_indicator(omega, model.reference(node_id, j))
-    if not lambdas:
-        # every neighbor went silent this round: the node cannot be assessed,
-        # so it keeps the initial non-faulty decision
-        return NodeDecision(
-            node_id=node_id,
-            round_index=round_index,
-            lambdas={},
-            lambda_agg=0.0,
-            verdict="non_faulty",
-        )
-    usable = {j: lam for j, lam in lambdas.items() if not exclude or j not in exclude}
-    if not usable:  # all neighbors excluded; fall back to the full pair set
-        usable = lambdas
-    lambda_agg = float(np.median(list(usable.values())))
-    verdict = "faulty" if lambda_agg > config.threshold else "non_faulty"
-    return NodeDecision(
-        node_id=node_id,
-        round_index=round_index,
-        lambdas=lambdas,
-        lambda_agg=lambda_agg,
-        verdict=verdict,
-    )
-
-
 def detection_round(
     windows: dict,
     neighbor_map: dict,
@@ -349,44 +287,59 @@ def detection_round(
 ) -> dict:
     """Run one distributed detection round with decision exchange.
 
-    Every node first decides from all its neighbor pairs, then the verdicts
-    are exchanged and nodes re-aggregate with faulty-flagged neighbors' pairs
-    dropped. Exoneration proceeds in ascending-indicator order and repeats
-    until no verdict changes: a healthy node freed of a contaminated pair in
-    one sweep frees its own neighbors' pair sets in the next. Nodes are only
-    ever cleared by the exchange, never re-flagged. Returns node id ->
-    NodeDecision.
+    ``windows`` maps channel id -> SignalWindow (or None when that channel
+    delivered nothing). Each delivered neighbor pair's indicator is computed
+    once, the first time either node asks for it, and every decision reads it
+    from that per-round table. Every node first decides from all its neighbor
+    pairs, then the verdicts are exchanged and nodes re-aggregate with
+    faulty-flagged neighbors' pairs dropped (unless none would remain).
+    Exoneration proceeds in ascending-indicator order and repeats until no
+    verdict changes: a healthy node freed of a contaminated pair in one sweep
+    frees its own neighbors' pair sets in the next. Nodes are only ever
+    cleared by the exchange, never re-flagged. A node that delivered no window
+    is faulty outright (its neighbors cannot see it; the missing-sensor scan
+    refines that verdict later). Returns node id -> NodeDecision.
     """
+    table = {}  # pair key -> indicator
 
-    def group_for(node):
-        group = {node: windows.get(node)}
-        for j in neighbor_map[node]:
-            group[j] = windows.get(j)
-        return group
+    def indicator(i, j):
+        key = CorrelationModel.pair_key(i, j)
+        if key not in table:
+            omega = model.pair_mi(windows[i], windows[j], i, j)
+            table[key] = fault_indicator(omega, model.reference(i, j))
+        return table[key]
 
-    decisions = {}
-    for node in sorted(neighbor_map):
-        decisions[node] = decide_faulty(node, group_for(node), model, config, round_index)
+    def decide(node, flagged=frozenset()):
+        neighbors = sorted(set(neighbor_map[node]) - {node})
+        if not neighbors:
+            raise DetectionError(f"node {node} has no neighbors (topology violation)")
+        if windows.get(node) is None:
+            return NodeDecision(node, round_index, {}, LAMBDA_MAX, "faulty")
+        lambdas = {j: indicator(node, j) for j in neighbors if windows.get(j) is not None}
+        if not lambdas:
+            # every neighbor went silent this round: the node cannot be assessed,
+            # so it keeps the initial non-faulty decision
+            return NodeDecision(node, round_index, {}, 0.0, "non_faulty")
+        usable = [lam for j, lam in lambdas.items() if j not in flagged] or list(lambdas.values())
+        lambda_agg = float(np.median(usable))
+        verdict = "faulty" if lambda_agg > config.threshold else "non_faulty"
+        return NodeDecision(node, round_index, lambdas, lambda_agg, verdict)
+
+    decisions = {node: decide(node) for node in sorted(neighbor_map)}
     flagged = {n for n, d in decisions.items() if d.verdict == "faulty"}
     order = sorted(neighbor_map, key=lambda n: (decisions[n].lambda_agg, n))
-    for _ in range(len(order)):
+    changed = True
+    while changed:
         changed = False
         for node in order:
-            if node not in flagged or windows.get(node) is None:
-                continue
-            dec = decide_faulty(
-                node, group_for(node), model, config, round_index, exclude=flagged - {node}
-            )
-            if dec.verdict == "non_faulty":
-                flagged.discard(node)
-                decisions[node] = dec
-                changed = True
-        if not changed:
-            break
+            if node in flagged and windows.get(node) is not None:
+                dec = decide(node, flagged)
+                if dec.verdict == "non_faulty":
+                    flagged.discard(node)
+                    decisions[node] = dec
+                    changed = True
     # re-aggregate the cleared nodes against the settled flag set
     for node in sorted(neighbor_map):
         if node not in flagged and windows.get(node) is not None:
-            decisions[node] = decide_faulty(
-                node, group_for(node), model, config, round_index, exclude=flagged - {node}
-            )
+            decisions[node] = decide(node, flagged)
     return decisions

@@ -23,6 +23,8 @@ from .structure import StructureSpec, discrete_state_space
 
 # relative max-abs gap to the steady-state gain at which run_filter freezes it
 STEADY_STATE_TOL = 1e-8
+# histogram bins of the missing-sensor scan's KL divergence
+SCAN_BINS = 16
 
 
 class KalmanError(ValueError):
@@ -34,8 +36,6 @@ class ReconstructionConfig:
     variance_inflation: float = 1e9  # multiplier on faulty channels' noise variance
     model_scope: str = "neighborhood"  # or "full"
     scope_margin: int = 1  # extra stories kept around the neighborhood span
-    input_scale_factor: float = 1.0  # process-noise input scale, x measured RMS
-    scan_bins: int = 16
     scan_report_ratio: float = 0.25  # report missing iff min/median lambda below this
 
     def __post_init__(self):
@@ -266,18 +266,18 @@ class ReconstructionResult:
 
 
 def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_channels, config,
-                   noise_var: dict | None, positions: dict | None):
+                   noise_var: dict | None):
     """Measurement block and filter factory for ``channels`` over their model scope.
 
     Channels without a window in ``windows`` get zero rows. The process-noise
     scale is the mean RMS of ``scale_channels``; channels missing from
     ``noise_var`` get variance (0.1 * scale)^2. The scope is the whole
     structure (``model_scope="full"``) or the sub-chain spanning the
-    channels' positions plus ``scope_margin``, with each end that slices
-    through the real structure marked as a boundary cut. Returns
-    (ref, block, make_filter): the first delivered window, the (channels, T)
-    block and ``make_filter(inflated)``, which builds the filter with the
-    channels in ``inflated`` variance-inflated.
+    channels (a channel id is its structural DOF) plus ``scope_margin``,
+    with each end that slices through the real structure marked as a
+    boundary cut. Returns (ref, block, make_filter): the first delivered
+    window, the (channels, T) block and ``make_filter(inflated)``, which
+    builds the filter with the channels in ``inflated`` variance-inflated.
     """
     ref = next((windows[ch] for ch in channels if windows.get(ch) is not None), None)
     if ref is None:
@@ -291,12 +291,10 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
     )
     noise_var = noise_var or {}
     variances = [float(noise_var.get(ch, (0.1 * scale) ** 2)) for ch in channels]
-    positions = positions or {ch: ch for ch in channels}
-    dofs = [positions[ch] for ch in channels]
     scope, lo, hi = structure, 0, structure.n_dof - 1
     if config.model_scope != "full":
-        lo = max(0, min(dofs) - config.scope_margin)
-        hi = min(structure.n_dof - 1, max(dofs) + config.scope_margin)
+        lo = max(0, min(channels) - config.scope_margin)
+        hi = min(structure.n_dof - 1, max(channels) + config.scope_margin)
         scope = StructureSpec(
             masses=structure.masses[lo : hi + 1],
             stiffnesses=structure.stiffnesses[lo : hi + 1],
@@ -307,11 +305,11 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
     def make_filter(inflated) -> KalmanFilterState:
         return filter_for_structure(
             scope,
-            [d - lo for d in dofs],
+            [ch - lo for ch in channels],
             variances,
-            inflated={positions[ch] - lo for ch in inflated},
+            inflated={ch - lo for ch in inflated},
             inflation=config.variance_inflation,
-            input_scale=config.input_scale_factor * scale,
+            input_scale=scale,
             boundary_cut=(lo > 0, hi < structure.n_dof - 1),
         )
 
@@ -325,7 +323,6 @@ def reconstruct_signals(
     round_index: int = 0,
     config: ReconstructionConfig | None = None,
     noise_var: dict | None = None,
-    positions: dict | None = None,
     truth: dict | None = None,
 ) -> list:
     """Reconstruct faulty channels from their neighbors' signals (one round).
@@ -333,9 +330,9 @@ def reconstruct_signals(
     ``all_windows`` maps channel id -> SignalWindow or None (missing);
     channels that delivered nothing are treated as faulty with a zero
     substitute stream. ``noise_var`` holds healthy per-channel measurement
-    noise variances (bootstrapped residual variances in the harness);
-    ``positions`` maps channel id -> structural DOF (identity by default).
-    Returns one ReconstructionResult per faulty channel.
+    noise variances (bootstrapped residual variances in the harness).
+    Channel ids are structural DOFs. Returns one ReconstructionResult per
+    faulty channel.
     """
     config = config or ReconstructionConfig()
     channels = sorted(all_windows)
@@ -349,7 +346,7 @@ def reconstruct_signals(
             f"({healthy}) are available for coverage"
         )
     ref, block, make_filter = _scoped_filter(
-        structure, all_windows, channels, healthy, config, noise_var, positions
+        structure, all_windows, channels, healthy, config, noise_var
     )
     est, innov = run_filter(make_filter(faulty), block)
     results = []
@@ -418,7 +415,6 @@ def missing_sensor_scan(
     structure: StructureSpec,
     config: ReconstructionConfig | None = None,
     noise_var: dict | None = None,
-    positions: dict | None = None,
 ) -> MissingScanResult:
     """Locate a missing/failed sensor by leave-one-out filter agreement.
 
@@ -435,7 +431,7 @@ def missing_sensor_scan(
         raise KalmanError("missing-sensor scan needs at least 3 nodes")
     present = [ch for ch in node_set if windows.get(ch) is not None]
     _, block, make_filter = _scoped_filter(
-        structure, windows, node_set, present, config, noise_var, positions
+        structure, windows, node_set, present, config, noise_var
     )
     lambdas = {}
     for cand in node_set:
@@ -448,7 +444,7 @@ def missing_sensor_scan(
             hi = max(block[i].max(), est[i].max())
             if not hi > lo:
                 hi = lo + 1.0
-            edges = np.linspace(lo, hi, config.scan_bins + 1)
+            edges = np.linspace(lo, hi, SCAN_BINS + 1)
             kls.append(kl_divergence(block[i], est[i], edges))
         lambdas[cand] = float(np.mean(kls))
     values = np.array([lambdas[ch] for ch in node_set])

@@ -26,11 +26,9 @@ class ModalError(ValueError):
 class ModalConfig:
     segment_length: int = 256  # Welch segment (c_r); 50% overlap
     band: tuple = (0.0, math.inf)  # analysis band in Hz
-    exclude_bands: tuple = ()  # e.g. around a known forcing line
     peak_snr: float = 8.0  # peak height over the in-band median floor
     max_modes: int = 3
     damage_threshold_sigmas: float = 3.0
-    frequency_tolerance_hz: float | None = None  # default: 2 FFT bins at assembly
 
 
 @dataclass
@@ -83,8 +81,6 @@ def extract_local_modes(
     nperseg = min(config.segment_length, samples.size)
     freqs, psd = welch(samples, fs=fs, nperseg=nperseg)
     in_band = (freqs >= config.band[0]) & (freqs <= config.band[1])
-    for lo, hi in config.exclude_bands:
-        in_band &= ~((freqs >= lo) & (freqs <= hi))
     if not in_band.any():
         raise ModalError("analysis band is empty at this resolution")
     floor = float(np.median(psd[in_band]))
@@ -184,7 +180,7 @@ def resolve_global_signs(estimates: dict) -> dict:
 
 def assemble_global(
     estimates,
-    tolerance_hz: float | None = None,
+    tolerance_hz: float,
     n_locations: int | None = None,
     round_index: int = 0,
 ) -> GlobalModeShape:
@@ -206,8 +202,6 @@ def assemble_global(
     if not reporting:
         raise ModalError("no node reported any mode")
     sign_fix = resolve_global_signs(by_node)
-    if tolerance_hz is None:
-        tolerance_hz = 2.0 * _implied_bin_width(reporting)
     entries = []  # (frequency, node, signed amplitude)
     for e in reporting:
         for f, a in zip(e.frequencies, e.amplitudes):
@@ -248,12 +242,6 @@ def assemble_global(
         round_index=round_index,
         diagnostics=diagnostics,
     )
-
-
-def _implied_bin_width(reporting) -> float:
-    freqs = np.concatenate([e.frequencies for e in reporting])
-    diffs = np.diff(np.unique(np.round(freqs, 9)))
-    return float(diffs.min()) if diffs.size else 0.1
 
 
 def curvature(mode_vector: np.ndarray, spacing: float = 1.0) -> np.ndarray:
@@ -326,7 +314,6 @@ class DamageDiagnosis:
 def diagnose(
     current: GlobalModeShape,
     baseline: CurvatureBaseline,
-    fault_verdicts: dict | None = None,
     config: ModalConfig | None = None,
     spacing: float = 1.0,
 ) -> DamageDiagnosis:
@@ -370,8 +357,7 @@ def diagnose(
             peak = cluster[int(np.argmax(dev[cluster]))]
             damage.append(int(peak))
         else:
-            # isolated deviation: sensor artifact (fault_verdicts says which are
-            # confirmed by MII; unexplained singletons are still never damage)
+            # isolated deviation: a sensor artifact, never damage
             fault_only.append(int(cluster[int(np.argmax(dev[cluster]))]))
     return DamageDiagnosis(
         damage_locations=damage,
@@ -384,47 +370,45 @@ def diagnose(
 
 @dataclass
 class DependabilityReport:
-    """Confusion counts for sensor-fault and damage verdicts, round by round."""
+    """Confusion counts for sensor-fault and damage verdicts, one row per round.
+
+    A row is (round, fault tp/fp/fn/tn, fault accuracy, damage tp/fp/fn/tn,
+    event ability), the columns of ``HEADER``.
+    """
+
+    HEADER = (
+        "round",
+        "fault_tp", "fault_fp", "fault_fn", "fault_tn", "fault_accuracy",
+        "damage_tp", "damage_fp", "damage_fn", "damage_tn", "event_ability",
+    )
 
     rows: list = field(default_factory=list)
 
-    def add_round(
-        self,
-        round_index: int,
-        fault_counts: tuple,
-        damage_counts: tuple,
-    ):
+    def add_round(self, round_index: int, fault_counts: tuple, damage_counts: tuple):
         ftp, ffp, ffn, ftn = fault_counts
         dtp, dfp, dfn, dtn = damage_counts
-        self.rows.append(
-            {
-                "round": round_index,
-                "fault_tp": ftp, "fault_fp": ffp, "fault_fn": ffn, "fault_tn": ftn,
-                "damage_tp": dtp, "damage_fp": dfp, "damage_fn": dfn, "damage_tn": dtn,
-            }
+        n_locations = ftp + ffp + ffn + ftn
+        n_damaged = dtp + dfn  # active damages: each is either hit or missed
+        accuracy = (ftp + ftn) / n_locations
+        ability = max(
+            0.0,
+            1.0
+            - (dfp / max(1, n_locations - n_damaged))
+            - (dfn / max(1, n_damaged) if n_damaged else 0.0),
         )
+        self.rows.append((round_index, ftp, ffp, ffn, ftn, accuracy, dtp, dfp, dfn, dtn, ability))
 
-    @staticmethod
-    def _rates(tp, fp, fn, tn):
-        pos = tp + fn
-        neg = fp + tn
-        fpr = fp / neg if neg else 0.0
-        fnr = fn / pos if pos else 0.0
-        return fpr, fnr
+    def _totals(self, first: int) -> list:
+        return [sum(r[c] for r in self.rows) for c in range(first, first + 4)]
 
     def detection_accuracy(self) -> float:
-        tp = sum(r["fault_tp"] for r in self.rows)
-        fp = sum(r["fault_fp"] for r in self.rows)
-        fn = sum(r["fault_fn"] for r in self.rows)
-        tn = sum(r["fault_tn"] for r in self.rows)
+        tp, fp, fn, tn = self._totals(1)
         all_counts = tp + fp + fn + tn
         return (tp + tn) / all_counts if all_counts else 1.0
 
     def event_detection_ability(self) -> float:
         """1 - (false positive rate + false negative rate), clamped to [0, 1]."""
-        tp = sum(r["damage_tp"] for r in self.rows)
-        fp = sum(r["damage_fp"] for r in self.rows)
-        fn = sum(r["damage_fn"] for r in self.rows)
-        tn = sum(r["damage_tn"] for r in self.rows)
-        fpr, fnr = self._rates(tp, fp, fn, tn)
+        tp, fp, fn, tn = self._totals(6)
+        fpr = fp / (fp + tn) if fp + tn else 0.0
+        fnr = fn / (tp + fn) if tp + fn else 0.0
         return max(0.0, min(1.0, 1.0 - (fpr + fnr)))

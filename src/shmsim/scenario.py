@@ -203,6 +203,8 @@ def validate_config(raw: dict):
         )
     except Exception as exc:
         errors.append(f"structure: {exc}")
+    if spec is not None and spec.n_dof < 2:
+        errors.append("structure: at least 2 DOF are required (one sensor channel per DOF)")
 
     basis = struct.eigen_modes(spec) if spec is not None else None
     f1 = float(basis.frequencies[0]) if basis is not None else 1.0
@@ -295,7 +297,11 @@ def validate_config(raw: dict):
             bs_position=np.asarray(bs, dtype=float),
             field_size=field_size,
         )
-        net.build_neighborhoods(topology)
+        isolated = net.build_neighborhoods(topology).isolated
+        if isolated and not _POLICIES[cfg["mode"]].frequency_matching:
+            errors.append(
+                f"topology: nodes {isolated} have no neighbour within r_min; MI detection needs one"
+            )
     except Exception as exc:
         errors.append(f"topology: {exc}")
 
@@ -594,7 +600,6 @@ def run_scenario(config, out_dir: str) -> RunManifest:
     mode_rows = []
     energy = net.EnergyLedger()
     dependability = mod.DependabilityReport()
-    dep_rows = []
     raw_bits = (cfg.window * cfg.energy.bytes_per_sample + cfg.energy.header_bytes) * 8
     report_bytes = (
         cfg.energy.frequency_set_bytes if policy.frequency_matching else cfg.energy.mode_report_bytes
@@ -829,8 +834,7 @@ def run_scenario(config, out_dir: str) -> RunManifest:
             baseline = mod.CurvatureBaseline.from_rounds(
                 baseline_curvs, baseline_freq if baseline_freq else cfg.base_frequency
             )
-            verdict_map = {ch: dec.verdict for ch, dec in decisions.items()}
-            diagnosis = mod.diagnose(final_shape, baseline, verdict_map, cfg.modal)
+            diagnosis = mod.diagnose(final_shape, baseline, cfg.modal)
             damage_reports = diagnosis.damage_locations
 
         # ---- dependability scoring -------------------------------------------
@@ -853,16 +857,6 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         dfp = len([r for r in damage_reports if r not in matched])
         dtn = cfg.n_nodes - dtp - dfn - dfp
         dependability.add_round(d, (ftp, ffp, ffn, ftn), (dtp, dfp, dfn, dtn))
-        row_acc = (ftp + ftn) / cfg.n_nodes
-        row_ability = max(
-            0.0,
-            1.0
-            - (dfp / max(1, cfg.n_nodes - len(active_damage)))
-            - (dfn / max(1, len(active_damage)) if active_damage else 0.0),
-        )
-        dep_rows.append(
-            (d, ftp, ffp, ffn, ftn, row_acc, dtp, dfp, dfn, dtn, row_ability)
-        )
 
     # ---- outputs ---------------------------------------------------------------
     tables = (
@@ -874,15 +868,7 @@ def run_scenario(config, out_dir: str) -> RunManifest:
             mode_rows,
         ),
         ("energy", ["round", "node", "e_T", "e_comp", "e_samp", "e_oh", "total"], energy.rows()),
-        (
-            "dependability",
-            [
-                "round",
-                "fault_tp", "fault_fp", "fault_fn", "fault_tn", "fault_accuracy",
-                "damage_tp", "damage_fp", "damage_fn", "damage_tn", "event_ability",
-            ],
-            dep_rows,
-        ),
+        ("dependability", mod.DependabilityReport.HEADER, dependability.rows),
     )
     outputs = {name: f"{name}.csv" for name, _, _ in tables}
     outputs.update(summary="summary.json", manifest="manifest.json")

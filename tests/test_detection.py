@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shmsim import detection
 from shmsim.detection import (
     LAMBDA_MAX,
     CorrelationModel,
@@ -11,7 +12,6 @@ from shmsim.detection import (
     DetectionError,
     UnreliableEstimateWarning,
     correlation_coefficient,
-    decide_faulty,
     default_edges,
     detection_round,
     deviation_score,
@@ -289,6 +289,8 @@ def _neighbor_map():
 
 
 class TestDecideFaulty:
+    """Per-node verdicts of one detection_round."""
+
     def test_fault_free_rounds_all_clear(self, bench):
         """Zero false positives over 20 independent fault-free rounds."""
         make_round, model, config, _ = bench
@@ -326,8 +328,38 @@ class TestDecideFaulty:
     def test_zero_neighbors_rejected(self, bench):
         make_round, model, config, _ = bench
         windows, _ = make_round(3100)
-        with pytest.raises(DetectionError):
-            decide_faulty(0, {0: windows[0]}, model, config)
+        neighbor_map = _neighbor_map()
+        neighbor_map[0] = []
+        with pytest.raises(DetectionError, match="node 0 has no neighbors"):
+            detection_round(windows, neighbor_map, model, config)
+
+    def test_one_mi_evaluation_per_delivered_pair(self, bench, monkeypatch):
+        """Re-decisions read the round's pair table instead of recomputing MI."""
+        make_round, model, config, rms = bench
+        windows, _ = make_round(3300)
+        windows[5] = SignalWindow(
+            sensor_id=5, start_time=0.0, dt=0.02,
+            samples=np.full(WINDOW, 3 * rms[5]), round_index=0,
+        )
+        windows[2] = None
+        neighbor_map = _neighbor_map()
+        delivered = {
+            CorrelationModel.pair_key(i, j)
+            for i in neighbor_map
+            for j in neighbor_map[i]
+            if windows[i] is not None and windows[j] is not None
+        }
+        calls = []
+
+        def counting(u, v, edges):
+            calls.append((u.sensor_id, v.sensor_id))
+            return mutual_information_binned(u, v, edges)
+
+        monkeypatch.setattr(detection, "mutual_information_binned", counting)
+        decisions = detection_round(windows, neighbor_map, model, config)
+        assert decisions[5].verdict == "faulty"
+        assert len(calls) <= len(delivered)
+        assert {CorrelationModel.pair_key(i, j) for i, j in calls} == delivered
 
     def test_absent_window_marked_faulty(self, bench):
         make_round, model, config, _ = bench

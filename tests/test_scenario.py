@@ -108,6 +108,8 @@ class TestValidation:
         "section_not_mapping": (("monitoring",), 5, "monitoring: a mapping"),
         "duration_negative": (("faults", 0, "duration_rounds"), -3, "faults[0].duration_rounds"),
         "duration_not_int": (("faults", 0, "duration_rounds"), "x", "faults[0].duration_rounds"),
+        "single_dof": (("structure", "n_dof"), 1, "structure: at least 2 DOF"),
+        "isolated_nodes": (("topology", "r_min_factor"), 0.5, "topology: nodes [0, 1,"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -116,6 +118,12 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(self._with(path, value))
         assert any(fragment in e for e in err.value.errors), err.value.errors
+
+    def test_isolated_nodes_allowed_without_mi_detection(self, tmp_path):
+        """The frequency-matching baseline compares no neighbour pairs, so it still runs."""
+        cfg = fast_config(mode="frequency_matching_baseline", topology={"r_min_factor": 0.5})
+        run_scenario(cfg, str(tmp_path / "fm"))
+        assert read_rows(tmp_path / "fm" / "detections.csv")
 
     def test_bad_inputs_listed_together(self):
         cfg = fast_config(seed=True, modal={"band": [5]})
