@@ -12,7 +12,7 @@ curvature against a fault-free baseline to localize damage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.signal import csd, welch
@@ -47,33 +47,27 @@ class LocalModeEstimate:
 
 
 def extract_local_modes(
-    windows,
+    window,
     config: ModalConfig,
     reference=None,
     reference_id: int | None = None,
 ) -> LocalModeEstimate:
-    """Peak-pick the averaged periodogram of one node's round.
+    """Peak-pick the averaged periodogram of one node's round window.
 
-    ``windows`` is a SignalWindow or list of them (concatenated in order).
-    ``reference`` supplies the reference node's synchronized samples for the
-    sign convention; without it all signs are positive and the estimate is
-    its own reference.
+    ``reference`` is the reference node's synchronized window for the sign
+    convention; without it all signs are positive and the estimate is its
+    own reference.
     """
-    if not isinstance(windows, (list, tuple)):
-        windows = [windows]
-    if not windows or any(w is None for w in windows):
-        raise ModalError("extract_local_modes needs delivered windows")
-    samples = np.concatenate([np.asarray(w.samples, dtype=float) for w in windows])
-    sensor_id = windows[0].sensor_id
-    round_index = windows[0].round_index
-    dt = windows[0].dt
-    fs = 1.0 / dt
+    if window is None:
+        raise ModalError("extract_local_modes needs a delivered window")
+    samples = np.asarray(window.samples, dtype=float)
+    fs = 1.0 / window.dt
     empty = LocalModeEstimate(
-        sensor_id=sensor_id,
-        round_index=round_index,
+        sensor_id=window.sensor_id,
+        round_index=window.round_index,
         frequencies=np.empty(0),
         amplitudes=np.empty(0),
-        reference_id=sensor_id if reference_id is None else reference_id,
+        reference_id=window.sensor_id if reference_id is None else reference_id,
     )
     # flat signals (stuck sensors) have no spectral peaks at all
     if float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples)))):
@@ -102,20 +96,12 @@ def extract_local_modes(
         return empty
     sel = np.sort(np.asarray(sel))
     if reference is not None:
-        ref_samples = np.concatenate(
-            [np.asarray(w.samples, dtype=float) for w in (reference if isinstance(reference, (list, tuple)) else [reference])]
-        )
+        ref_samples = np.asarray(reference.samples, dtype=float)
         _, cross = csd(samples, ref_samples, fs=fs, nperseg=nperseg)
         signs = np.where(np.real(cross[sel]) >= 0.0, 1.0, -1.0)
     else:
         signs = np.ones(sel.size)
-    return LocalModeEstimate(
-        sensor_id=sensor_id,
-        round_index=round_index,
-        frequencies=freqs[sel],
-        amplitudes=signs * np.sqrt(psd[sel]),
-        reference_id=sensor_id if reference_id is None else reference_id,
-    )
+    return replace(empty, frequencies=freqs[sel], amplitudes=signs * np.sqrt(psd[sel]))
 
 
 @dataclass
@@ -384,11 +370,21 @@ class DependabilityReport:
 
     rows: list = field(default_factory=list)
 
-    def add_round(self, round_index: int, fault_counts: tuple, damage_counts: tuple):
-        ftp, ffp, ffn, ftn = fault_counts
-        dtp, dfp, dfn, dtn = damage_counts
-        n_locations = ftp + ffp + ffn + ftn
-        n_damaged = dtp + dfn  # active damages: each is either hit or missed
+    def add_round(self, round_index: int, n_locations: int, flagged, faulty, reported, damaged):
+        """Add one round's row: ``flagged`` sensors scored against the ``faulty``
+        ones, and ``reported`` damage locations against the ``damaged`` ones.
+
+        A report within one location of a damage is a hit.
+        """
+        ftp = sum(1 for ch in flagged if ch in faulty)
+        ffp = len(flagged) - ftp
+        ffn = len(faulty) - ftp
+        ftn = n_locations - ftp - ffp - ffn
+        n_damaged = len(damaged)
+        dtp = sum(1 for loc in damaged if any(abs(r - loc) <= 1 for r in reported))
+        dfp = sum(1 for r in reported if all(abs(r - loc) > 1 for loc in damaged))
+        dfn = n_damaged - dtp
+        dtn = n_locations - dtp - dfn - dfp
         accuracy = (ftp + ftn) / n_locations
         ability = max(
             0.0,

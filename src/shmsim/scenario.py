@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -134,11 +134,9 @@ class ScenarioConfig:
     window: int
     training_rounds: int
     test_rounds: int
-    n_averages: int
     segment_length: int
     modal: mod.ModalConfig
     base_frequency: float  # undamaged f1
-    forcing_frequency: float
 
     @property
     def n_nodes(self) -> int:
@@ -385,11 +383,9 @@ def validate_config(raw: dict):
         window=window,
         training_rounds=training_rounds,
         test_rounds=test_rounds,
-        n_averages=int(mon["n_averages"]),
         segment_length=int(mon["segment_length"]),
         modal=modal_config,
         base_frequency=f1,
-        forcing_frequency=forcing_frequency,
     )
     return config, resolved
 
@@ -564,15 +560,279 @@ def _send_to_bs(energy, d: int, hops, bits: float, params) -> net.Transmission:
     return net.Transmission(bits, hops[0][2])
 
 
+@dataclass
+class _Run:
+    """One run's constants, the tables its rounds fill and the state training leaves."""
+
+    cfg: ScenarioConfig
+    policy: _Policy
+    graph: net.CommunicationGraph
+    bs_hops: dict  # node -> route to the BS as (from, to, distance) hops
+    noise_var: dict  # channel -> measurement noise variance
+    loss_rng: np.random.Generator
+    fault_schedule: list
+    damage_schedule: list
+    training_windows: dict  # channel -> its delivered training windows
+    energy: net.EnergyLedger = field(default_factory=net.EnergyLedger)
+    dependability: mod.DependabilityReport = field(default_factory=mod.DependabilityReport)
+    detections_rows: list = field(default_factory=list)
+    reconstruction_rows: list = field(default_factory=list)
+    mode_rows: list = field(default_factory=list)
+    baseline_rounds: list = field(default_factory=list)  # (curvature, frequency) per round
+    model: det.CorrelationModel | None = None
+    baseline: mod.CurvatureBaseline | None = None
+
+
+def _transport(run: _Run, d: int, delivered: dict) -> dict:
+    """Charge every node's sampling, traffic and computation; return what the detector sees.
+
+    Raw windows lost on the route to the BS are not retransmitted.
+    """
+    cfg, policy, params = run.cfg, run.policy, run.cfg.energy
+    # Bernoulli transport losses; the stream is consumed identically in
+    # every mode so paired-seed comparisons stay aligned
+    loss_draws = run.loss_rng.uniform(size=(cfg.n_nodes, 2))
+    raw_bits = (cfg.window * params.bytes_per_sample + params.header_bytes) * 8
+    report_bytes = (
+        params.frequency_set_bytes if policy.frequency_matching else params.mode_report_bytes
+    )
+    report_bits = (report_bytes + params.header_bytes) * 8
+    for ch in range(cfg.n_nodes):
+        n_neighbors = len(run.graph.neighbors[ch])
+        if policy.distributed:
+            traffic = [net.Transmission(raw_bits, cfg.topology.r_min)]
+            pairs = n_neighbors if d < cfg.training_rounds else 2 * n_neighbors
+            comp = pairs * _ops_mi_pair(cfg.window, cfg.detection.bins)
+        else:
+            traffic = [_send_to_bs(run.energy, d, run.bs_hops[ch], raw_bits, params)]
+            comp = 0.0
+        if policy.reports:
+            comp += _ops_welch(cfg.window, cfg.segment_length)
+            # mode reports get one retransmission when the first try is lost
+            tries = 2 if loss_draws[ch, 1] < params.packet_loss else 1
+            for _ in range(tries):
+                traffic.append(_send_to_bs(run.energy, d, run.bs_hops[ch], report_bits, params))
+        net.charge_round(
+            run.energy,
+            ch,
+            traffic,
+            comp,
+            cfg.window,
+            params,
+            round_index=d,
+            received_bits=raw_bits * n_neighbors if policy.distributed else 0.0,
+        )
+    if policy.distributed or params.packet_loss <= 0.0:
+        return delivered
+    lost = loss_draws[:, 0] < params.packet_loss
+    return {ch: None if lost[ch] else w for ch, w in delivered.items()}
+
+
+def _extract(run: _Run, d: int, windows: dict) -> list:
+    """Every node's local modes from ``windows``; a node without a window reports none."""
+    estimates = []
+    for ch in range(run.cfg.n_nodes):
+        if windows[ch] is None:
+            estimates.append(mod.LocalModeEstimate(ch, d, np.empty(0), np.empty(0), ch))
+            continue
+        # the lowest-id node in hearing range fixes the cross-spectrum sign
+        ref = min([ch] + run.graph.neighbors[ch])
+        ref_w = windows[ref] if ref != ch else None
+        if ref_w is None:
+            ref = ch
+        estimates.append(
+            mod.extract_local_modes(windows[ch], run.cfg.modal, reference=ref_w, reference_id=ref)
+        )
+    return estimates
+
+
+def _assemble(run: _Run, d: int, estimates: list, *stages):
+    """Assemble ``estimates`` at the BS and record the shape once under each of ``stages``.
+
+    A failed assembly records nothing and returns None.
+    """
+    cfg = run.cfg
+    try:
+        shape = mod.assemble_global(
+            estimates,
+            tolerance_hz=2.0 / (cfg.segment_length * cfg.spec.dt),  # 2 FFT bins
+            n_locations=cfg.n_nodes,
+            round_index=d,
+        )
+    except mod.ModalError:
+        return None
+    run.mode_rows.extend(
+        (d, stage, k, shape.frequencies[k], loc, shape.vectors[loc, k], int(shape.missing[loc, k]))
+        for stage in stages
+        for k in range(shape.n_modes)
+        for loc in range(cfg.n_nodes)
+    )
+    return shape
+
+
+def _train(run: _Run, d: int, view: dict, estimates: list):
+    """Keep a fault-free round for the MI model and the curvature baseline; fit both at the end."""
+    cfg = run.cfg
+    for ch, w in view.items():
+        if w is not None:
+            run.training_windows[ch].append(w)
+    shape = _assemble(run, d, estimates, "baseline")
+    if shape is not None:
+        try:
+            k = shape.nearest_mode(cfg.base_frequency)
+            run.baseline_rounds.append((mod.curvature(shape.mode(k)), float(shape.frequencies[k])))
+        except mod.ModalError:
+            pass
+    if d < cfg.training_rounds - 1:
+        return
+    neighbors = run.graph.neighbors
+    pairs = sorted({det.CorrelationModel.pair_key(i, j) for i in neighbors for j in neighbors[i]})
+    run.model = det.train_correlation_model(run.training_windows, cfg.detection, pairs=pairs)
+    if len(run.baseline_rounds) >= 2:
+        curvatures, frequencies = zip(*run.baseline_rounds)
+        run.baseline = mod.CurvatureBaseline.from_rounds(
+            curvatures, frequencies[-1] or cfg.base_frequency
+        )
+
+
+def _detect(run: _Run, d: int, view: dict, estimates: list) -> dict:
+    """Each node's verdict for the round: MI detection, or the NFMC frequency check."""
+    if not run.policy.frequency_matching:
+        return det.detection_round(
+            view, run.graph.neighbors, run.model, run.cfg.detection, round_index=d
+        )
+    # NFMC-style baseline: flag nodes whose peak frequency mismatches the consensus
+    peaks = {e.sensor_id: None if e.is_empty else float(e.frequencies[0]) for e in estimates}
+    present = [f for f in peaks.values() if f is not None]
+    consensus = float(np.median(present)) if present else 0.0
+    tol = 2.0 / (run.cfg.segment_length * run.cfg.spec.dt)  # 2 FFT bins
+    decisions = {}
+    for ch, f in sorted(peaks.items()):
+        bad = f is None or abs(f - consensus) > tol
+        decisions[ch] = det.NodeDecision(
+            node_id=ch,
+            round_index=d,
+            lambdas={},
+            lambda_agg=det.LAMBDA_MAX if bad else 0.0,
+            verdict="faulty" if bad else "non_faulty",
+        )
+    return decisions
+
+
+def _scan(run: _Run, d: int, view: dict, decisions: dict):
+    """Missing-node refinement: a KL-KF scan relabels a silent faulty node 'missing'."""
+    if not run.policy.recovery:
+        return
+    cfg = run.cfg
+    for ch in sorted(decisions):
+        if view[ch] is not None or decisions[ch].verdict != "faulty":
+            continue
+        node_set = sorted({ch, *run.graph.neighbors[ch]})
+        if len(node_set) < 3:
+            continue
+        try:
+            scan = kal.missing_sensor_scan(
+                node_set,
+                {c: view[c] for c in node_set},
+                cfg.spec,
+                config=cfg.reconstruction,
+                noise_var=run.noise_var,
+            )
+        except kal.KalmanError:
+            continue
+        if scan.reported == ch:
+            decisions[ch] = replace(decisions[ch], verdict="missing")
+        # the scan runs on the lowest-id node that delivered a window
+        helper = min(c for c in node_set if view[c] is not None)
+        scan_ops = len(node_set) * _ops_kf(cfg.window, 2 * min(cfg.n_nodes, len(node_set) + 2))
+        net.charge_round(run.energy, helper, [], scan_ops, 0, cfg.energy, round_index=d)
+
+
+def _reconstruct(run: _Run, d: int, view: dict, flagged: list, clean: np.ndarray) -> dict:
+    """The round's final windows: flagged channels reconstructed, isolated or kept as delivered."""
+    cfg, policy = run.cfg, run.policy
+    final = dict(view)
+    if policy.frequency_matching:  # NFMC isolates flagged sensors instead of recovering them
+        final.update(dict.fromkeys(flagged))
+    if not (policy.recovery and flagged):
+        return final
+    truth = {ch: clean[ch] for ch in range(cfg.n_nodes)}
+    if policy.distributed:
+        batches = [
+            ([ch], sorted([ch] + [j for j in run.graph.neighbors[ch] if j not in flagged]))
+            for ch in flagged
+        ]
+    else:
+        batches = [(flagged, list(range(cfg.n_nodes)))]
+    for faulty, scope in batches:
+        try:
+            results = kal.reconstruct_signals(
+                faulty,
+                {c: view[c] for c in scope},
+                cfg.spec,
+                round_index=d,
+                config=cfg.reconstruction,
+                noise_var=run.noise_var,
+                truth=truth,
+            )
+        except kal.KalmanError:
+            continue
+        if policy.distributed:
+            helper = min(c for c in scope if c not in faulty)
+            span = max(scope) - min(scope) + 1 + 2 * cfg.reconstruction.scope_margin
+            state_dim = 2 * (
+                cfg.n_nodes if cfg.reconstruction.model_scope == "full" else min(cfg.n_nodes, span)
+            )
+            net.charge_round(
+                run.energy,
+                helper,
+                [],
+                _ops_kf(cfg.window, state_dim),
+                0,
+                cfg.energy,
+                round_index=d,
+                reconstructions=len(faulty),
+            )
+        for res in results:
+            final[res.sensor_id] = res.reconstructed
+            quality = res.quality if res.quality is not None else ""
+            residual_rms = float(np.sqrt(np.mean(res.residual**2)))
+            run.reconstruction_rows.append((d, res.sensor_id, quality, residual_rms))
+    return final
+
+
+def _modal(run: _Run, d: int, view: dict, final: dict, estimates: list):
+    """Record the raw shape and the final one; return the final shape (None if it failed)."""
+    if all(final[ch] is view[ch] for ch in view):
+        # no window was replaced, so the final shape is the raw one
+        stages = ("raw", "final") if run.policy.reports else ("raw",)
+        return _assemble(run, d, estimates, *stages)
+    _assemble(run, d, estimates, "raw")
+    return _assemble(run, d, _extract(run, d, final), "final")
+
+
+def _score(run: _Run, d: int, decisions: dict, flagged: list, shape):
+    """Record the verdicts, diagnose damage from ``shape`` and count both against the truth."""
+    active = {e["sensor_id"] for e in run.fault_schedule if _fault_active(e, d)}
+    for ch, dec in sorted(decisions.items()):
+        run.detections_rows.append((d, ch, dec.lambda_agg, dec.verdict, int(ch in active)))
+    reports = []
+    if shape is not None and run.baseline is not None:
+        try:
+            reports = mod.diagnose(shape, run.baseline, run.cfg.modal).damage_locations
+        except mod.ModalError:
+            pass  # too few consecutive locations for a curvature: nothing reported
+    damaged = [e["location"] for e in run.damage_schedule if d >= e["onset_round"]]
+    run.dependability.add_round(d, run.cfg.n_nodes, flagged, active, reports, damaged)
+
+
 def run_scenario(config, out_dir: str) -> RunManifest:
     """Execute a full scenario and write the CSV artifacts into ``out_dir``."""
     if isinstance(config, dict):
         config, _ = validate_config(config)
     cfg = config
-    policy = _POLICIES[cfg.mode]
     os.makedirs(out_dir, exist_ok=True)
     sim = _Simulator(cfg)
-    loss_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _LOSS]))
     graph = net.build_neighborhoods(cfg.topology)
     profiles, fault_schedule = resolve_fault_profiles(cfg, sim.signal_rms)
     damage_schedule = (
@@ -586,289 +846,52 @@ def run_scenario(config, out_dir: str) -> RunManifest:
             }
         ]
     )
-    noise_var = {ch: float(sim.noise_std[ch] ** 2) for ch in range(cfg.n_nodes)}
-
-    # reference node for the cross-spectrum sign convention
-    ref_of = {
-        ch: min([ch] + graph.neighbors[ch]) if graph.neighbors[ch] else ch
-        for ch in range(cfg.n_nodes)
-    }
-
-    cluster_tol_hz = 2.0 / (cfg.segment_length * cfg.spec.dt)  # 2 FFT bins
-    detections_rows = []
-    reconstruction_rows = []
-    mode_rows = []
-    energy = net.EnergyLedger()
-    dependability = mod.DependabilityReport()
-    raw_bits = (cfg.window * cfg.energy.bytes_per_sample + cfg.energy.header_bytes) * 8
-    report_bytes = (
-        cfg.energy.frequency_set_bytes if policy.frequency_matching else cfg.energy.mode_report_bytes
-    )
-    report_bits = (report_bytes + cfg.energy.header_bytes) * 8
-    bs_hops = {}  # node -> route to the BS as (from, to, distance) hops
+    bs_hops = {}
     for ch in range(cfg.n_nodes):
         path = net.shortest_path_route(graph.routing, ch, net.BS)
         bs_hops[ch] = [(a, b, cfg.topology.distance(a, b)) for a, b in zip(path[:-1], path[1:])]
-
-    model = None
-    training_windows = {ch: [] for ch in range(cfg.n_nodes)}
-    baseline_curvs = []
-    baseline_freq = None
-    mi_pairs = sorted(
-        {det.CorrelationModel.pair_key(i, j) for i in range(cfg.n_nodes) for j in graph.neighbors[i]}
+    run = _Run(
+        cfg=cfg,
+        policy=_POLICIES[cfg.mode],
+        graph=graph,
+        bs_hops=bs_hops,
+        noise_var={ch: float(sim.noise_std[ch] ** 2) for ch in range(cfg.n_nodes)},
+        loss_rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, _LOSS])),
+        fault_schedule=fault_schedule,
+        damage_schedule=damage_schedule,
+        training_windows={ch: [] for ch in range(cfg.n_nodes)},
     )
-
-    def assemble(windows, d, *stages):
-        """Extract every node's local modes from ``windows`` and assemble them at the BS.
-
-        The shape goes into modes.csv once under each of ``stages``; a failed
-        assembly records nothing and returns None.
-        """
-        estimates = []
-        for ch in range(cfg.n_nodes):
-            w = windows.get(ch)
-            if w is None:
-                estimates.append(
-                    mod.LocalModeEstimate(
-                        sensor_id=ch,
-                        round_index=d,
-                        frequencies=np.empty(0),
-                        amplitudes=np.empty(0),
-                        reference_id=ch,
-                    )
-                )
-                continue
-            ref = ref_of[ch]
-            ref_w = windows.get(ref) if ref != ch else None
-            if ref_w is None:
-                ref = ch
-            estimates.append(mod.extract_local_modes(w, cfg.modal, reference=ref_w, reference_id=ref))
-        try:
-            shape = mod.assemble_global(
-                estimates, tolerance_hz=cluster_tol_hz, n_locations=cfg.n_nodes, round_index=d
-            )
-        except mod.ModalError:
-            return None
-        mode_rows.extend(
-            (d, stage, k, shape.frequencies[k], loc, shape.vectors[loc, k], int(shape.missing[loc, k]))
-            for stage in stages
-            for k in range(shape.n_modes)
-            for loc in range(cfg.n_nodes)
-        )
-        return shape
 
     for d in range(cfg.total_rounds):
         clean, windows = sim.measured_round(d)
         delivered = {ch: sen.apply_faults(windows[ch], profiles) for ch in windows}
-        # Bernoulli transport losses; the stream is consumed identically in
-        # every mode so paired-seed comparisons stay aligned
-        loss_draws = loss_rng.uniform(size=(cfg.n_nodes, 2))
-        active = {e["sensor_id"] for e in fault_schedule if _fault_active(e, d)}
-        training = d < cfg.training_rounds
-        if policy.distributed or cfg.energy.packet_loss <= 0.0:
-            view = delivered
-        else:
-            # raw windows lost in transit never reach the BS, unretransmitted
-            view = {
-                ch: (None if loss_draws[ch, 0] < cfg.energy.packet_loss else delivered[ch])
-                for ch in delivered
-            }
-
-        # ---- energy: sampling + data movement -------------------------------
-        for ch in range(cfg.n_nodes):
-            n_neighbors = len(graph.neighbors[ch])
-            if policy.distributed:
-                traffic = [net.Transmission(raw_bits, cfg.topology.r_min)]
-                pairs = n_neighbors if training else 2 * n_neighbors
-                comp = pairs * _ops_mi_pair(cfg.window, cfg.detection.bins)
-            else:
-                traffic = [_send_to_bs(energy, d, bs_hops[ch], raw_bits, cfg.energy)]
-                comp = 0.0
-            if policy.reports:
-                comp += _ops_welch(cfg.window, cfg.segment_length)
-                # mode reports get one retransmission when the first try is lost
-                tries = 2 if loss_draws[ch, 1] < cfg.energy.packet_loss else 1
-                for _ in range(tries):
-                    traffic.append(_send_to_bs(energy, d, bs_hops[ch], report_bits, cfg.energy))
-            net.charge_round(
-                energy,
-                ch,
-                traffic,
-                comp,
-                cfg.window,
-                cfg.energy,
-                round_index=d,
-                received_bits=raw_bits * n_neighbors if policy.distributed else 0.0,
-            )
-
-        if training:
-            for ch in range(cfg.n_nodes):
-                if view[ch] is not None:
-                    training_windows[ch].append(view[ch])
-            shape = assemble(view, d, "baseline")
-            if shape is not None:
-                try:
-                    k = shape.nearest_mode(cfg.base_frequency)
-                    baseline_curvs.append(mod.curvature(shape.mode(k)))
-                    baseline_freq = float(shape.frequencies[k])
-                except mod.ModalError:
-                    pass
-            if d == cfg.training_rounds - 1:
-                model = det.train_correlation_model(
-                    training_windows, cfg.detection, pairs=mi_pairs
-                )
+        view = _transport(run, d, delivered)
+        estimates = _extract(run, d, view)
+        if d < cfg.training_rounds:
+            _train(run, d, view, estimates)
             continue
-
-        # ---- detection -------------------------------------------------------
-        if policy.frequency_matching:
-            decisions = _frequency_matching_decisions(cfg, view, d)
-        else:
-            decisions = det.detection_round(
-                view, graph.neighbors, model, cfg.detection, round_index=d
-            )
-
-        # ---- missing-node refinement (KL-KF scan) ----------------------------
-        if policy.recovery:
-            for ch in sorted(decisions):
-                if view.get(ch) is not None or decisions[ch].verdict != "faulty":
-                    continue
-                node_set = sorted({ch, *graph.neighbors[ch]})
-                if len(node_set) < 3:
-                    continue
-                try:
-                    scan = kal.missing_sensor_scan(
-                        node_set,
-                        {c: view.get(c) for c in node_set},
-                        cfg.spec,
-                        config=cfg.reconstruction,
-                        noise_var=noise_var,
-                    )
-                except kal.KalmanError:
-                    continue
-                if scan.reported == ch:
-                    decisions[ch] = replace(decisions[ch], verdict="missing")
-                # the scan runs on the lowest-id node that delivered a window
-                helper = min(c for c in node_set if view.get(c) is not None)
-                scan_ops = len(node_set) * _ops_kf(
-                    cfg.window, 2 * min(cfg.n_nodes, len(node_set) + 2)
-                )
-                net.charge_round(
-                    energy, helper, [], scan_ops, 0, cfg.energy, round_index=d
-                )
-
-        flagged = sorted(
-            ch for ch, dec in decisions.items() if dec.verdict in ("faulty", "missing")
-        )
-        for ch, dec in sorted(decisions.items()):
-            detections_rows.append((d, ch, dec.lambda_agg, dec.verdict, int(ch in active)))
-
-        # ---- reconstruction --------------------------------------------------
-        final_windows = dict(view)
-        if policy.recovery and flagged:
-            truth_map = {ch: clean[ch] for ch in range(cfg.n_nodes)}
-            if policy.distributed:
-                batches = []
-                for ch in flagged:
-                    scope = [ch] + [j for j in graph.neighbors[ch] if j not in flagged]
-                    batches.append(([ch], sorted(scope)))
-            else:
-                batches = [(flagged, list(range(cfg.n_nodes)))]
-            for faulty, scope in batches:
-                scope_windows = {c: view.get(c) for c in scope}
-                try:
-                    results = kal.reconstruct_signals(
-                        faulty,
-                        scope_windows,
-                        cfg.spec,
-                        round_index=d,
-                        config=cfg.reconstruction,
-                        noise_var=noise_var,
-                        truth=truth_map,
-                    )
-                except kal.KalmanError:
-                    continue
-                if policy.distributed:
-                    helper = min(c for c in scope if c not in faulty)
-                    state_dim = 2 * (
-                        cfg.n_nodes
-                        if cfg.reconstruction.model_scope == "full"
-                        else min(
-                            cfg.n_nodes,
-                            max(scope) - min(scope) + 1 + 2 * cfg.reconstruction.scope_margin,
-                        )
-                    )
-                    net.charge_round(
-                        energy,
-                        helper,
-                        [],
-                        _ops_kf(cfg.window, state_dim),
-                        0,
-                        cfg.energy,
-                        round_index=d,
-                        reconstructions=len(faulty),
-                    )
-                for res in results:
-                    final_windows[res.sensor_id] = res.reconstructed
-                    reconstruction_rows.append(
-                        (
-                            d,
-                            res.sensor_id,
-                            res.quality if res.quality is not None else "",
-                            float(np.sqrt(np.mean(res.residual**2))),
-                        )
-                    )
-
-        # ---- modal monitoring and diagnosis ----------------------------------
-        if policy.frequency_matching:
-            for ch in flagged:  # NFMC isolates faulty sensors instead of recovering
-                final_windows[ch] = None
-        if all(final_windows[ch] is view[ch] for ch in view):
-            # no window was replaced, so the final shape is the raw one
-            stages = ("raw", "final") if policy.reports else ("raw",)
-            final_shape = assemble(view, d, *stages)
-        else:
-            assemble(view, d, "raw")
-            final_shape = assemble(final_windows, d, "final")
-        damage_reports = []
-        if final_shape is not None and len(baseline_curvs) >= 2:
-            baseline = mod.CurvatureBaseline.from_rounds(
-                baseline_curvs, baseline_freq if baseline_freq else cfg.base_frequency
-            )
-            diagnosis = mod.diagnose(final_shape, baseline, cfg.modal)
-            damage_reports = diagnosis.damage_locations
-
-        # ---- dependability scoring -------------------------------------------
-        active_damage = [
-            e["location"] for e in damage_schedule if d >= e["onset_round"]
-        ]
-        ftp = sum(1 for ch in flagged if ch in active)
-        ffp = len(flagged) - ftp
-        ffn = len(active) - ftp
-        ftn = cfg.n_nodes - ftp - ffp - ffn
-        matched = set()
-        dtp = dfn = 0
-        for loc in active_damage:
-            hits = [r for r in damage_reports if abs(r - loc) <= 1]
-            if hits:
-                dtp += 1
-                matched.update(hits)
-            else:
-                dfn += 1
-        dfp = len([r for r in damage_reports if r not in matched])
-        dtn = cfg.n_nodes - dtp - dfn - dfp
-        dependability.add_round(d, (ftp, ffp, ffn, ftn), (dtp, dfp, dfn, dtn))
+        decisions = _detect(run, d, view, estimates)
+        _scan(run, d, view, decisions)
+        flagged = sorted(ch for ch, dc in decisions.items() if dc.verdict in ("faulty", "missing"))
+        final = _reconstruct(run, d, view, flagged, clean)
+        shape = _modal(run, d, view, final, estimates)
+        _score(run, d, decisions, flagged, shape)
 
     # ---- outputs ---------------------------------------------------------------
     tables = (
-        ("detections", ["round", "node", "lambda", "verdict", "truth"], detections_rows),
-        ("reconstructions", ["round", "node", "quality", "residual_rms"], reconstruction_rows),
+        ("detections", ["round", "node", "lambda", "verdict", "truth"], run.detections_rows),
+        ("reconstructions", ["round", "node", "quality", "residual_rms"], run.reconstruction_rows),
         (
             "modes",
             ["round", "stage", "mode", "frequency", "location", "amplitude", "missing"],
-            mode_rows,
+            run.mode_rows,
         ),
-        ("energy", ["round", "node", "e_T", "e_comp", "e_samp", "e_oh", "total"], energy.rows()),
-        ("dependability", mod.DependabilityReport.HEADER, dependability.rows),
+        (
+            "energy",
+            ["round", "node", "e_T", "e_comp", "e_samp", "e_oh", "total"],
+            run.energy.rows(),
+        ),
+        ("dependability", mod.DependabilityReport.HEADER, run.dependability.rows),
     )
     outputs = {name: f"{name}.csv" for name, _, _ in tables}
     outputs.update(summary="summary.json", manifest="manifest.json")
@@ -880,24 +903,24 @@ def run_scenario(config, out_dir: str) -> RunManifest:
     clean_rounds = [d for d in test_rounds if d not in fault_rounds]
     surcharge = None
     if fault_rounds and clean_rounds:
-        mean_fault = float(np.mean([energy.round_total(d) for d in fault_rounds]))
-        mean_clean = float(np.mean([energy.round_total(d) for d in clean_rounds]))
+        mean_fault = float(np.mean([run.energy.round_total(d) for d in fault_rounds]))
+        mean_clean = float(np.mean([run.energy.round_total(d) for d in clean_rounds]))
         if mean_fault > 0:
             surcharge = (mean_fault - mean_clean) / mean_fault
-    lambda_healthy = [row[2] for row in detections_rows if not row[4]]
-    lambda_faulty = [row[2] for row in detections_rows if row[4]]
+    lambda_healthy = [row[2] for row in run.detections_rows if not row[4]]
+    lambda_faulty = [row[2] for row in run.detections_rows if row[4]]
     summary = {
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "detection_accuracy": dependability.detection_accuracy(),
-        "event_detection_ability": dependability.event_detection_ability(),
+        "detection_accuracy": run.dependability.detection_accuracy(),
+        "event_detection_ability": run.dependability.event_detection_ability(),
         "mean_lambda_healthy": float(np.mean(lambda_healthy)) if lambda_healthy else None,
         "mean_lambda_faulty": float(np.mean(lambda_faulty)) if lambda_faulty else None,
-        "energy_total_j": energy.total,
-        "energy_communication_j": energy.communication_total,
-        "energy_components_j": energy.component_totals(),
+        "energy_total_j": run.energy.total,
+        "energy_communication_j": run.energy.communication_total,
+        "energy_components_j": run.energy.component_totals(),
         "fault_round_surcharge": surcharge,
-        "n_reconstructions": len(reconstruction_rows),
+        "n_reconstructions": len(run.reconstruction_rows),
         "fault_rate": len({e["sensor_id"] for e in fault_schedule}) / cfg.n_nodes,
     }
     manifest = RunManifest(
@@ -914,32 +937,6 @@ def run_scenario(config, out_dir: str) -> RunManifest:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return manifest
-
-
-def _frequency_matching_decisions(cfg: ScenarioConfig, delivered: dict, d: int) -> dict:
-    """NFMC-style baseline: flag nodes whose peak frequency mismatches the consensus."""
-    peaks = {}
-    for ch, w in delivered.items():
-        if w is None:
-            peaks[ch] = None
-            continue
-        est = mod.extract_local_modes(w, cfg.modal)
-        peaks[ch] = None if est.is_empty else float(est.frequencies[0])
-    present = [f for f in peaks.values() if f is not None]
-    consensus = float(np.median(present)) if present else 0.0
-    bin_width = 1.0 / (cfg.segment_length * cfg.spec.dt)
-    tol = 2.0 * bin_width
-    decisions = {}
-    for ch, f in sorted(peaks.items()):
-        bad = f is None or abs(f - consensus) > tol
-        decisions[ch] = det.NodeDecision(
-            node_id=ch,
-            round_index=d,
-            lambdas={},
-            lambda_agg=det.LAMBDA_MAX if bad else 0.0,
-            verdict="faulty" if bad else "non_faulty",
-        )
-    return decisions
 
 
 def compare_schemes(config, modes, out_dir: str) -> str:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import fault_only_config, null_config, read_rows, read_summary
+from shmsim import modal
 from shmsim.cli import main as cli_main
 from shmsim.scenario import (
     MODES,
@@ -191,6 +192,32 @@ class TestModes:
             }
         for node in range(3, 8):
             assert e_comp["dependshm"][node] == e_comp["no_recovery"][node], node
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_degenerate_curvature_round_completes(self, tmp_path, mode):
+        """Two of three sensors go silent: no curvature can be scored, so no damage is reported."""
+        cfg = fast_config(mode=mode, structure={"n_dof": 3})
+        cfg["monitoring"].update(training_rounds=6, rounds=1)
+        cfg["faults"] = [{"kind": "missing", "sensor_id": s, "onset_round": 6} for s in (0, 1)]
+        run_scenario(cfg, str(tmp_path / mode))
+        rows = read_rows(tmp_path / mode / "dependability.csv")
+        assert [(r["round"], r["damage_fp"], r["damage_tn"]) for r in rows] == [("6", "0", "3")]
+
+    def test_frequency_matching_reads_the_raw_estimates(self, tmp_path, monkeypatch):
+        """NFMC verdicts reuse the raw-stage local modes instead of extracting them again."""
+        calls = []
+        extract = modal.extract_local_modes
+
+        def counting(window, *args, **kwargs):
+            calls.append(window.sensor_id)
+            return extract(window, *args, **kwargs)
+
+        monkeypatch.setattr(modal, "extract_local_modes", counting)
+        cfg = fast_config(mode="frequency_matching_baseline")
+        run_scenario(cfg, str(tmp_path / "fm"))
+        config, _ = validate_config(cfg)
+        # one raw extraction per node and round, plus one final per node and test round
+        assert len(calls) <= config.n_nodes * (config.total_rounds + config.test_rounds)
 
     # mode -> (reports modes, recovers flagged channels)
     POLICY = {
