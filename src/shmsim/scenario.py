@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,55 +63,172 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-DEFAULTS = {
-    "mode": "dependshm",
-    "structure": {"n_dof": 10, "mass": 1000.0, "stiffness": 1.769e6, "dt": 0.02},
-    "excitation": {
-        "kind": "sine",
-        "amplitude": 1.0,
-        "frequency_factor": 0.9,  # x first natural frequency
-        "ambient_fraction": 0.02,
-    },
-    "sensors": {"noise_fraction": 0.10},
-    "faults": [],
-    "damage": None,
-    "detection": {"bins": 16, "R": 5, "threshold": 0.5},
-    "reconstruction": {
-        "variance_inflation": 1e9,
-        "model_scope": "neighborhood",
-        "scope_margin": 1,
-        "scan_report_ratio": 0.25,
-    },
-    "topology": {
-        "field": [450.0, 50.0],
-        "r_min_factor": 2.2,  # x inter-sensor spacing
-        "r_max": None,  # default: max(field_x / 4.5, r_min)
-        "bs": None,  # default: [0, field_y / 2]
-    },
-    "energy": {},  # EnergyParams field overrides
-    "monitoring": {"training_rounds": 12, "rounds": 6, "n_averages": 15, "segment_length": 256},
-    "modal": {"peak_snr": 8.0, "max_modes": 3, "damage_threshold_sigmas": 3.0},
-}
+_REQUIRED = object()  # no default: the key must be given
+_UNSET = object()  # left out unless given; the reader of the key supplies the value
 
-# fault parameter defaults, in units of the target channel's fault-free RMS
-FAULT_MAGNITUDE_DEFAULTS = {
-    "stuck_constant": {"stuck_value": 3.0},
-    "offset_bias": {"offset": 5.0},
-    "debonding_gain": {"gain": 0.3, "parasite_std": 1.0},
-    "noise_burst": {"burst_std": 0.3},
-}
+# Every config key as (path, default, kind, bound). A section's keys sit under
+# "<section>."; a fault entry's under "faults[]." and, for its kind only, under
+# "faults[<kind>].". Kinds: int, float, enum (bound lists the choices), pair
+# and vector (numbers, each within bound), section, list; a trailing "?" also
+# admits null. Numeric bounds are intervals. A key that a library dataclass
+# also takes reads its default from there, so each default is written once. A
+# fault magnitude's default is a function of the channel's fault-free RMS and
+# the window duration in seconds.
+_FIELDS = (
+    ("seed", _REQUIRED, "int", "[0, inf)"),
+    ("mode", "dependshm", "enum", MODES),
+    ("monitoring", {}, "section", None),
+    ("monitoring.training_rounds", 12, "int", "[1, inf)"),
+    ("monitoring.rounds", 6, "int", "[1, inf)"),
+    ("monitoring.n_averages", 15, "int", "[1, inf)"),
+    ("monitoring.segment_length", mod.ModalConfig.segment_length, "int", "[1, inf)"),
+    ("monitoring.window", None, "int?", "[1, inf)"),  # (n_averages/2 + 1/2) * segment_length
+    ("structure", {}, "section", None),
+    ("structure.n_dof", 10, "int", "[1, inf)"),
+    ("structure.mass", 1000.0, "float", "(0, inf)"),
+    ("structure.stiffness", 1.769e6, "float", "(0, inf)"),
+    ("structure.masses", _UNSET, "vector", "(0, inf)"),  # with stiffnesses: overrides the above
+    ("structure.stiffnesses", _UNSET, "vector", "(0, inf)"),
+    ("structure.dt", 0.02, "float", "(0, inf)"),
+    ("excitation", {}, "section", None),
+    ("excitation.kind", "sine", "enum", struct.ExcitationSpec.KINDS),
+    ("excitation.amplitude", 1.0, "float", "(0, inf)"),
+    ("excitation.frequency_factor", 0.9, "float", "(0, inf)"),  # x first natural frequency
+    ("excitation.frequency", None, "float?", "(0, inf)"),  # null: frequency_factor x f1
+    ("excitation.ambient_fraction", 0.02, "float", "[0, inf)"),
+    ("damage", None, "section?", None),
+    ("damage.location", _REQUIRED, "int", "[0, inf)"),
+    ("damage.severity", _REQUIRED, "float", "(0, 1)"),
+    ("damage.onset_round", _REQUIRED, "int", "[0, inf)"),
+    ("faults", [], "list", None),
+    ("faults[].kind", _REQUIRED, "enum", sen.FAULT_KINDS),
+    ("faults[].sensor_id", _REQUIRED, "int", "[0, inf)"),
+    ("faults[].onset_round", _REQUIRED, "int", "[0, inf)"),
+    ("faults[].duration_rounds", None, "int?", "[1, inf)"),  # null: to the end of the run
+    ("faults[stuck_constant].stuck_value", lambda rms, s: 3.0 * rms, "float", "(-inf, inf)"),
+    ("faults[offset_bias].offset", lambda rms, s: 5.0 * rms, "float", "(-inf, inf)"),
+    ("faults[debonding_gain].gain", lambda rms, s: sen.FaultProfile.gain, "float", "[0, inf)"),
+    ("faults[debonding_gain].parasite_std", lambda rms, s: 1.0 * rms, "float", "[0, inf)"),
+    ("faults[noise_burst].burst_std", lambda rms, s: 0.3 * rms, "float", "[0, inf)"),
+    ("faults[drift].drift_rate", lambda rms, s: 2.0 * rms / s, "float", "(-inf, inf)"),
+    (
+        "faults[precision_degradation].quantization_step",
+        lambda rms, s: 10.0 * (8.0 * rms) / 2**16,
+        "float",
+        "(0, inf)",
+    ),
+    ("topology", {}, "section", None),
+    ("topology.field", list(net.TopologySpec.field_size), "pair", "(0, inf)"),
+    ("topology.r_min_factor", 2.2, "float", "(0, inf)"),  # x inter-sensor spacing
+    ("topology.r_min", None, "float?", "(0, inf)"),  # null: r_min_factor x spacing
+    ("topology.r_max", None, "float?", "(0, inf)"),  # null: max(field_x / 4.5, r_min)
+    ("topology.bs", None, "pair?", "(-inf, inf)"),  # null: [0, field_y / 2]
+    ("detection", {}, "section", None),
+    ("detection.bins", det.DetectionConfig.bins, "int", "[4, inf)"),
+    ("detection.R", det.DetectionConfig.R, "int", "[1, inf)"),
+    ("detection.threshold", det.DetectionConfig.threshold, "float", "(0, inf)"),
+    ("detection.neighborhood_radius", None, "float?", "(0, inf)"),  # null: topology.r_min
+    ("reconstruction", {}, "section", None),
+    ("reconstruction.variance_inflation", kal.ReconstructionConfig.variance_inflation, "float", "[1, inf)"),
+    ("reconstruction.model_scope", kal.ReconstructionConfig.model_scope, "enum", ("neighborhood", "full")),
+    ("reconstruction.scope_margin", kal.ReconstructionConfig.scope_margin, "int", "[0, inf)"),
+    ("reconstruction.scan_report_ratio", kal.ReconstructionConfig.scan_report_ratio, "float", "[0, inf)"),
+    ("energy", {}, "section", None),
+    *(  # unset energy keys take the EnergyParams defaults, whose types give the kinds
+        (f"energy.{f.name}", _UNSET, type(f.default).__name__, "[0, inf)")
+        for f in fields(net.EnergyParams)
+        if f.name not in ("cpu_k", "packet_loss")
+    ),
+    ("energy.cpu_k", _UNSET, "float", "(0, inf)"),  # divides the clock rate
+    ("energy.packet_loss", _UNSET, "float", "[0, 1)"),
+    ("sensors", {}, "section", None),
+    ("sensors.noise_fraction", 0.10, "float", "[0, inf)"),  # x channel RMS
+    ("modal", {}, "section", None),
+    ("modal.band", None, "pair?", "[0, inf)"),  # null: above the forcing line up to 1.15 f_max
+    ("modal.peak_snr", mod.ModalConfig.peak_snr, "float", "[0, inf)"),
+    ("modal.max_modes", mod.ModalConfig.max_modes, "int", "[1, inf)"),
+    ("modal.damage_threshold_sigmas", mod.ModalConfig.damage_threshold_sigmas, "float", "[0, inf)"),
+)
 
 
-def _merge(defaults, override):
-    # deep-copies throughout: resolved configs are mutated later and must
-    # never alias the module-level DEFAULTS or the caller's dict
-    out = copy.deepcopy(dict(defaults))
-    for key, val in (override or {}).items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+def _rows(prefix: str) -> dict:
+    """{key: (default, kind, bound)} for the table rows directly under ``prefix``."""
+    n = len(prefix)
+    return {
+        path[n:]: (default, kind, bound)
+        for path, default, kind, bound in _FIELDS
+        if path.startswith(prefix) and "." not in path[n:]
+    }
+
+
+def _valid(value, kind: str, bound) -> bool:
+    if kind.endswith("?"):
+        return value is None or _valid(value, kind[:-1], bound)
+    if kind in ("section", "list"):
+        return isinstance(value, dict if kind == "section" else (list, tuple))
+    if kind == "enum":
+        return isinstance(value, str) and value in bound
+    if kind in ("pair", "vector"):
+        return (
+            isinstance(value, (list, tuple))
+            and (len(value) == 2 if kind == "pair" else len(value) > 0)
+            and all(_valid(v, "float", bound) for v in value)
+        )
+    if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
+        return False
+    lo, hi = (float(b) for b in bound[1:-1].split(","))
+    return (lo < value if bound[0] == "(" else lo <= value) and (
+        value < hi if bound[-1] == ")" else value <= hi
+    )
+
+
+def _reason(value, kind: str, bound) -> str:
+    if kind == "enum":
+        return f"{value!r} is not one of {bound}"
+    noun = {
+        "int": {"[0, inf)": "non-negative integer", "[1, inf)": "positive integer"}.get(
+            bound, f"integer in {bound}"
+        ),
+        "float": f"number in {bound}",
+        "pair": f"pair of numbers in {bound}",
+        "vector": f"list of numbers in {bound}",
+        "section": "a mapping",
+        "list": "a list of fault entries",
+    }[kind.rstrip("?")]
+    return f"{noun} or null required" if kind.endswith("?") else f"{noun} required"
+
+
+def _walk(node: dict, rows: dict, where: str, errors: list):
+    """Check the mapping ``node`` against ``rows`` in place, appending "<path>: <reason>".
+
+    An absent key takes its default. A rejected value is replaced by its
+    default, or dropped when it has none, so the checks after the walk still run.
+    """
+    for key, (default, kind, bound) in rows.items():
+        path = where + key
+        supplied_later = default is _UNSET or callable(default)
+        if key not in node:
+            if supplied_later:
+                continue  # left to the code that reads it
+            node[key] = None if default is _REQUIRED else copy.deepcopy(default)
+        if not _valid(node[key], kind, bound):
+            errors.append(f"{path}: {_reason(node[key], kind, bound)}")
+            if supplied_later or default is _REQUIRED:
+                del node[key]
+                continue
+            node[key] = copy.deepcopy(default)
+        if kind.startswith("section") and node[key] is not None:
+            _walk(node[key], _rows(path + "."), path + ".", errors)
+        elif kind == "list":
+            node[key] = entries = list(node[key])
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, dict):
+                    errors.append(f"{path}[{i}]: a fault entry must be a mapping")
+                    entries[i] = {}
+                    continue
+                entry_rows = {**_rows(f"{key}[]."), **_rows(f"{key}[{entry.get('kind')}].")}
+                _walk(entry, entry_rows, f"{path}[{i}].", errors)
+    errors.extend(f"{where}{key}: unknown key" for key in node if key not in rows)
 
 
 @dataclass
@@ -125,7 +242,7 @@ class ScenarioConfig:
     damaged_spec: struct.StructureSpec | None
     excitation: dict
     sensors: dict
-    faults: list  # resolved dicts incl. absolute magnitudes
+    faults: list  # validated entries; magnitudes are resolved against the channel RMS
     damage: dict | None
     detection: det.DetectionConfig
     reconstruction: kal.ReconstructionConfig
@@ -134,7 +251,6 @@ class ScenarioConfig:
     window: int
     training_rounds: int
     test_rounds: int
-    segment_length: int
     modal: mod.ModalConfig
     base_frequency: float  # undamaged f1
 
@@ -147,152 +263,86 @@ class ScenarioConfig:
         return self.training_rounds + self.test_rounds
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_config(raw: dict):
     """Resolve defaults and collect every validation error before failing.
 
     Returns (ScenarioConfig, resolved_dict). Raises ConfigError listing all
     problems when the config is invalid.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError(["config: a mapping required"])
     errors = []
-    cfg = _merge(DEFAULTS, raw)
-    for key, default in DEFAULTS.items():
-        if isinstance(default, dict) and not isinstance(cfg[key], dict):
-            errors.append(f"{key}: a mapping is required")
-            cfg[key] = copy.deepcopy(default)
+    cfg = copy.deepcopy(raw)
+    _walk(cfg, _rows(""), "", errors)
 
-    if not _is_int(cfg.get("seed")):
-        errors.append("seed: a mandatory integer seed is required")
-        cfg["seed"] = 0
-    if cfg["mode"] not in MODES:
-        errors.append(f"mode: {cfg['mode']!r} is not one of {MODES}")
-        cfg["mode"] = "dependshm"
-
-    mon = cfg["monitoring"]
-    for key in ("training_rounds", "rounds", "n_averages", "segment_length"):
-        if not _is_int(mon.get(key)) or mon[key] <= 0:
-            errors.append(f"monitoring.{key}: positive integer required")
-            mon[key] = DEFAULTS["monitoring"][key]
-    training_rounds = mon["training_rounds"]
-    test_rounds = mon["rounds"]
+    # cross-field rules
+    mon, st, top, exc_cfg = cfg["monitoring"], cfg["structure"], cfg["topology"], cfg["excitation"]
+    training_rounds, test_rounds = mon["training_rounds"], mon["rounds"]
     try:
         window = sen.sampling_points(mon["n_averages"], mon["segment_length"])
-    except Exception as exc:
+        if mon["window"] not in (None, window):
+            errors.append(f"monitoring.window: n_averages and segment_length make it {window}")
+    except sen.SensingError as exc:
         errors.append(f"monitoring: {exc}")
-        window = 512
+        window = mon["segment_length"]  # any length lets the later checks run
 
-    st = cfg["structure"]
-    spec = None
+    if ("masses" in st) != ("stiffnesses" in st):
+        errors.append("structure: masses and stiffnesses must be given together")
     try:
-        if "masses" in st or "stiffnesses" in st:
-            masses = st["masses"]
-            stiffnesses = st["stiffnesses"]
-        else:
-            masses = [float(st["mass"])] * int(st["n_dof"])
-            stiffnesses = [float(st["stiffness"])] * int(st["n_dof"])
         spec = struct.StructureSpec(
-            masses=masses,
-            stiffnesses=stiffnesses,
+            masses=st.get("masses", [st["mass"]] * st["n_dof"]),
+            stiffnesses=st.get("stiffnesses", [st["stiffness"]] * st["n_dof"]),
             dt=float(st["dt"]),
             duration=(window + 1) * float(st["dt"]),
         )
-    except Exception as exc:
+        frequencies = struct.eigen_modes(spec).frequencies
+    except ValueError as exc:
         errors.append(f"structure: {exc}")
-    if spec is not None and spec.n_dof < 2:
+        spec, frequencies = None, np.ones(1)
+    n_dof = spec.n_dof if spec is not None else st["n_dof"]
+    if n_dof < 2:
         errors.append("structure: at least 2 DOF are required (one sensor channel per DOF)")
+    f1, f_max = float(frequencies[0]), float(frequencies[-1])
 
-    basis = struct.eigen_modes(spec) if spec is not None else None
-    f1 = float(basis.frequencies[0]) if basis is not None else 1.0
-    f_max = float(basis.frequencies[-1]) if basis is not None else 10.0
-
-    exc_cfg = dict(cfg["excitation"])
-    if exc_cfg.get("kind") not in struct.ExcitationSpec.KINDS:
-        errors.append(f"excitation.kind: {exc_cfg.get('kind')!r} not in {struct.ExcitationSpec.KINDS}")
-        exc_cfg["kind"] = "sine"
-    if exc_cfg.get("frequency") is None:
-        exc_cfg["frequency"] = exc_cfg.get("frequency_factor", 0.9) * f1
-    if not (0.0 <= exc_cfg.get("ambient_fraction", 0.0)):
-        errors.append("excitation.ambient_fraction: must be >= 0")
+    if exc_cfg["frequency"] is None:
+        exc_cfg["frequency"] = exc_cfg["frequency_factor"] * f1
     forcing_frequency = float(exc_cfg["frequency"])
-    if exc_cfg["kind"] == "sine" and basis is not None:
-        if any(abs(forcing_frequency - f) < 1e-3 * f for f in basis.frequencies):
-            errors.append(
-                "excitation.frequency: coincides with an undamped natural frequency "
-                "(unbounded resonance)"
-            )
+    resonant = any(abs(forcing_frequency - f) < 1e-3 * f for f in frequencies)
+    if exc_cfg["kind"] == "sine" and spec is not None and resonant:
+        errors.append(
+            "excitation.frequency: coincides with an undamped natural frequency "
+            "(unbounded resonance)"
+        )
 
+    # a rejected required key was dropped by the walk, so only valid ones are checked here
     damage = cfg["damage"]
-    damaged_spec = None
     if damage is not None:
-        try:
-            if not (0 <= int(damage["location"]) < (spec.n_dof if spec else 1)):
-                errors.append("damage.location: out of range")
-            if not (0 < float(damage["severity"]) < 1):
-                errors.append("damage.severity: must lie in (0, 1)")
-            if not (training_rounds <= int(damage["onset_round"]) < training_rounds + test_rounds):
-                errors.append("damage.onset_round: must fall inside the test rounds")
-            if spec is not None:
-                damaged_spec = struct.apply_damage(
-                    spec,
-                    struct.DamageSpec(
-                        location=int(damage["location"]),
-                        severity=float(damage["severity"]),
-                        onset=0.0,
-                    ),
-                )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            errors.append(f"damage: {exc}")
-
-    faults = []
-    if not isinstance(cfg["faults"], (list, tuple)):
-        errors.append("faults: a list of fault entries is required")
-        cfg["faults"] = []
-    for i, f in enumerate(cfg["faults"]):
-        if not isinstance(f, dict):
-            errors.append(f"faults[{i}]: a fault entry must be a mapping")
-            continue
-        f = dict(f)
-        kind = f.get("kind")
-        if kind not in sen.FAULT_KINDS:
-            errors.append(f"faults[{i}].kind: {kind!r} not in {sen.FAULT_KINDS}")
-            continue
-        if not _is_int(f.get("sensor_id")) or not (
-            0 <= f["sensor_id"] < (spec.n_dof if spec else 1)
+        if "location" in damage and damage["location"] >= n_dof:
+            errors.append("damage.location: out of range")
+        if "onset_round" in damage and not (
+            training_rounds <= damage["onset_round"] < training_rounds + test_rounds
         ):
+            errors.append("damage.onset_round: must fall inside the test rounds")
+
+    for i, f in enumerate(cfg["faults"]):
+        if "sensor_id" in f and f["sensor_id"] >= n_dof:
             errors.append(f"faults[{i}].sensor_id: out of range")
-            continue
-        if not _is_int(f.get("onset_round")) or f["onset_round"] < training_rounds:
+        if "onset_round" in f and f["onset_round"] < training_rounds:
             errors.append(
                 f"faults[{i}].onset_round: must be an integer >= training_rounds "
                 f"({training_rounds}); training data is fault-free by contract"
             )
-            continue
-        duration = f.setdefault("duration_rounds", None)  # None: to end of run
-        if duration is not None and (not _is_int(duration) or duration <= 0):
-            errors.append(f"faults[{i}].duration_rounds: positive integer or null required")
-            continue
-        faults.append(f)
 
-    top = cfg["topology"]
-    topology = None
     try:
         field_size = tuple(float(v) for v in top["field"])
-        n = spec.n_dof if spec else 10
-        positions = net.line_positions(n, field_size)
-        spacing = field_size[0] / max(1, n - 1)
-        r_min = float(top.get("r_min") or top["r_min_factor"] * spacing)
-        r_max = float(top.get("r_max") or max(field_size[0] / 4.5, r_min))
-        bs = top.get("bs") or [0.0, field_size[1] / 2.0]
+        spacing = field_size[0] / max(1, n_dof - 1)
+        # the table rejects 0, so ``or`` only stands in for null
+        r_min = float(top["r_min"] or top["r_min_factor"] * spacing)
         topology = net.TopologySpec(
-            positions=positions,
+            positions=net.line_positions(n_dof, field_size),
             r_min=r_min,
-            r_max=r_max,
-            bs_position=np.asarray(bs, dtype=float),
+            r_max=float(top["r_max"] or max(field_size[0] / 4.5, r_min)),
+            bs_position=np.asarray(top["bs"] or [0.0, field_size[1] / 2.0], dtype=float),
             field_size=field_size,
         )
         isolated = net.build_neighborhoods(topology).isolated
@@ -300,94 +350,56 @@ def validate_config(raw: dict):
             errors.append(
                 f"topology: nodes {isolated} have no neighbour within r_min; MI detection needs one"
             )
-    except Exception as exc:
+    except net.NetworkError as exc:
         errors.append(f"topology: {exc}")
 
-    try:
-        detection = det.DetectionConfig(**cfg["detection"])
-        if detection.R > training_rounds:
-            errors.append("detection.R: cannot exceed monitoring.training_rounds")
-        if detection.neighborhood_radius is None and topology is not None:
-            detection.neighborhood_radius = topology.r_min
-    except Exception as exc:
-        errors.append(f"detection: {exc}")
-        detection = det.DetectionConfig()
-    try:
-        reconstruction = kal.ReconstructionConfig(
-            variance_inflation=float(cfg["reconstruction"]["variance_inflation"]),
-            model_scope=cfg["reconstruction"]["model_scope"],
-            scope_margin=int(cfg["reconstruction"]["scope_margin"]),
-            scan_report_ratio=float(cfg["reconstruction"]["scan_report_ratio"]),
-        )
-    except Exception as exc:
-        errors.append(f"reconstruction: {exc}")
-        reconstruction = kal.ReconstructionConfig()
-    try:
-        energy = net.EnergyParams(**cfg["energy"])
-    except Exception as exc:
-        errors.append(f"energy: {exc}")
-        energy = net.EnergyParams()
+    if cfg["detection"]["R"] > training_rounds:
+        errors.append("detection.R: cannot exceed monitoring.training_rounds")
 
-    if not (0 <= cfg["sensors"].get("noise_fraction", 0.1)):
-        errors.append("sensors.noise_fraction: must be >= 0")
-
-    mcfg = cfg["modal"]
-    band = mcfg.get("band")
+    band = cfg["modal"]["band"]
     if band is None:
         lo = forcing_frequency + 0.3 * max(f1 - forcing_frequency, 0.05 * f1)
         band = (lo, 1.15 * f_max)
-    try:
-        lo, hi = (float(v) for v in band)
-    except (TypeError, ValueError):
-        lo = hi = math.nan
-    if not 0.0 <= lo < hi:
-        errors.append(f"modal.band: {band!r} is not a [low, high] pair with 0 <= low < high")
-    try:
-        modal_config = mod.ModalConfig(
-            segment_length=mon["segment_length"],
-            band=(lo, hi),
-            peak_snr=float(mcfg["peak_snr"]),
-            max_modes=int(mcfg["max_modes"]),
-            damage_threshold_sigmas=float(mcfg["damage_threshold_sigmas"]),
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"modal: {exc}")
+    lo, hi = (float(v) for v in band)
+    bins = np.fft.rfftfreq(mon["segment_length"], float(st["dt"]))  # Welch frequencies
+    if not lo < hi:
+        errors.append(f"modal.band: [{lo}, {hi}] needs low < high")
+    elif not np.any((bins >= lo) & (bins <= hi)):
+        errors.append(f"modal.band: [{lo}, {hi}] Hz holds no bin of the segment_length spectrum")
 
     if errors:
         raise ConfigError(errors)
 
-    resolved = _merge(cfg, {})
-    resolved["monitoring"]["window"] = window
-    resolved["excitation"] = exc_cfg
-    resolved["detection"]["neighborhood_radius"] = detection.neighborhood_radius
-    resolved["topology"]["r_min"] = topology.r_min
-    resolved["topology"]["r_max"] = topology.r_max
-    resolved["topology"]["bs"] = [float(v) for v in topology.bs_position]
-    resolved["modal"]["band"] = [lo, hi]
-    resolved["faults"] = faults
-
+    mon["window"] = window
+    top.update(r_min=topology.r_min, r_max=topology.r_max, bs=topology.bs_position.tolist())
+    if cfg["detection"]["neighborhood_radius"] is None:
+        cfg["detection"]["neighborhood_radius"] = topology.r_min
+    cfg["modal"]["band"] = [lo, hi]
     config = ScenarioConfig(
-        raw=resolved,
+        raw=cfg,
         mode=cfg["mode"],
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         spec=spec,
-        damaged_spec=damaged_spec,
+        damaged_spec=None
+        if damage is None
+        else struct.apply_damage(
+            spec, struct.DamageSpec(damage["location"], damage["severity"], onset=0.0)
+        ),
         excitation=exc_cfg,
         sensors=cfg["sensors"],
-        faults=faults,
+        faults=cfg["faults"],
         damage=damage,
-        detection=detection,
-        reconstruction=reconstruction,
+        detection=det.DetectionConfig(**cfg["detection"]),
+        reconstruction=kal.ReconstructionConfig(**cfg["reconstruction"]),
         topology=topology,
-        energy=energy,
+        energy=net.EnergyParams(**cfg["energy"]),
         window=window,
         training_rounds=training_rounds,
         test_rounds=test_rounds,
-        segment_length=int(mon["segment_length"]),
-        modal=modal_config,
+        modal=mod.ModalConfig(mon["segment_length"], **dict(cfg["modal"], band=(lo, hi))),
         base_frequency=f1,
     )
-    return config, resolved
+    return config, cfg
 
 
 @dataclass
@@ -438,11 +450,11 @@ class _Simulator:
         # fault-free noise scale frozen at initialization from round-0 dynamics
         clean0 = self._clean_round(0)
         self.signal_rms = np.sqrt(np.mean(clean0**2, axis=1))
-        self.noise_std = config.sensors.get("noise_fraction", 0.1) * self.signal_rms
+        self.noise_std = config.sensors["noise_fraction"] * self.signal_rms
 
     def _clean_round(self, d: int) -> np.ndarray:
         cfg = self.config
-        damaged = cfg.damage is not None and d >= int(cfg.damage["onset_round"])
+        damaged = cfg.damage is not None and d >= cfg.damage["onset_round"]
         spec = cfg.damaged_spec if damaged else cfg.spec
         if damaged not in self._sine_cache:
             exc = struct.ExcitationSpec(
@@ -453,7 +465,7 @@ class _Simulator:
             rec = struct.simulate_response(spec, exc)
             self._sine_cache[damaged] = rec.accelerations[:, : cfg.window]
         acc = self._sine_cache[damaged].copy()
-        frac = float(cfg.excitation.get("ambient_fraction", 0.0))
+        frac = float(cfg.excitation["ambient_fraction"])
         if frac > 0:
             seed = np.random.SeedSequence([cfg.seed, _AMBIENT, d])
             amb = struct.simulate_response(
@@ -493,24 +505,16 @@ def resolve_fault_profiles(config: ScenarioConfig, signal_rms: np.ndarray):
     schedule = []
     window_s = config.window * config.spec.dt
     for i, f in enumerate(config.faults):
-        kind = f["kind"]
-        ch = int(f["sensor_id"])
+        kind, ch = f["kind"], f["sensor_id"]
         rms = float(signal_rms[ch])
         onset = float(f["onset_round"]) * window_s
         duration = (
-            math.inf
-            if f.get("duration_rounds") is None
-            else float(f["duration_rounds"]) * window_s
+            math.inf if f["duration_rounds"] is None else float(f["duration_rounds"]) * window_s
         )
-        params = {}
-        for name, scale in FAULT_MAGNITUDE_DEFAULTS.get(kind, {}).items():
-            params[name] = float(f.get(name, scale if name == "gain" else scale * rms))
-        if kind == "drift":
-            params["drift_rate"] = float(f.get("drift_rate", 2.0 * rms / window_s))
-        if kind == "precision_degradation":
-            params["quantization_step"] = float(
-                f.get("quantization_step", 10.0 * (8.0 * rms) / 2**16)
-            )
+        params = {
+            name: float(f[name]) if name in f else default(rms, window_s)
+            for name, (default, _, _) in _rows(f"faults[{kind}].").items()
+        }
         profile = sen.FaultProfile(
             kind=kind, sensor_id=ch, onset=onset, duration=duration, seed=config.seed + i, **params
         )
@@ -519,8 +523,8 @@ def resolve_fault_profiles(config: ScenarioConfig, signal_rms: np.ndarray):
             {
                 "kind": kind,
                 "sensor_id": ch,
-                "onset_round": int(f["onset_round"]),
-                "duration_rounds": f.get("duration_rounds"),
+                "onset_round": f["onset_round"],
+                "duration_rounds": f["duration_rounds"],
                 "onset_s": onset,
                 "parameters": params,
             }
@@ -607,7 +611,7 @@ def _transport(run: _Run, d: int, delivered: dict) -> dict:
             traffic = [_send_to_bs(run.energy, d, run.bs_hops[ch], raw_bits, params)]
             comp = 0.0
         if policy.reports:
-            comp += _ops_welch(cfg.window, cfg.segment_length)
+            comp += _ops_welch(cfg.window, cfg.modal.segment_length)
             # mode reports get one retransmission when the first try is lost
             tries = 2 if loss_draws[ch, 1] < params.packet_loss else 1
             for _ in range(tries):
@@ -655,7 +659,7 @@ def _assemble(run: _Run, d: int, estimates: list, *stages):
     try:
         shape = mod.assemble_global(
             estimates,
-            tolerance_hz=2.0 / (cfg.segment_length * cfg.spec.dt),  # 2 FFT bins
+            tolerance_hz=2.0 / (cfg.modal.segment_length * cfg.spec.dt),  # 2 FFT bins
             n_locations=cfg.n_nodes,
             round_index=d,
         )
@@ -705,7 +709,7 @@ def _detect(run: _Run, d: int, view: dict, estimates: list) -> dict:
     peaks = {e.sensor_id: None if e.is_empty else float(e.frequencies[0]) for e in estimates}
     present = [f for f in peaks.values() if f is not None]
     consensus = float(np.median(present)) if present else 0.0
-    tol = 2.0 / (run.cfg.segment_length * run.cfg.spec.dt)  # 2 FFT bins
+    tol = 2.0 / (run.cfg.modal.segment_length * run.cfg.spec.dt)  # 2 FFT bins
     decisions = {}
     for ch, f in sorted(peaks.items()):
         bad = f is None or abs(f - consensus) > tol
@@ -835,17 +839,7 @@ def run_scenario(config, out_dir: str) -> RunManifest:
     sim = _Simulator(cfg)
     graph = net.build_neighborhoods(cfg.topology)
     profiles, fault_schedule = resolve_fault_profiles(cfg, sim.signal_rms)
-    damage_schedule = (
-        []
-        if cfg.damage is None
-        else [
-            {
-                "location": int(cfg.damage["location"]),
-                "severity": float(cfg.damage["severity"]),
-                "onset_round": int(cfg.damage["onset_round"]),
-            }
-        ]
-    )
+    damage_schedule = [] if cfg.damage is None else [dict(cfg.damage)]
     bs_hops = {}
     for ch in range(cfg.n_nodes):
         path = net.shortest_path_route(graph.routing, ch, net.BS)
@@ -945,10 +939,7 @@ def compare_schemes(config, modes, out_dir: str) -> str:
     Returns the path of the comparison CSV. Each mode's full artifacts land in
     ``out_dir/<mode>/``.
     """
-    if isinstance(config, dict):
-        base_raw = dict(config)
-    else:
-        base_raw = dict(config.raw)
+    base_raw = config if isinstance(config, dict) else config.raw
     columns = [
         "detection_accuracy",
         "event_detection_ability",
@@ -962,7 +953,7 @@ def compare_schemes(config, modes, out_dir: str) -> str:
     for mode in modes:
         if mode not in MODES:
             raise ConfigError([f"compare: mode {mode!r} is not one of {MODES}"])
-        raw = _merge(base_raw, {"mode": mode})
+        raw = {**base_raw, "mode": mode}
         sub_dir = os.path.join(out_dir, mode)
         run_scenario(raw, sub_dir)
         with open(os.path.join(sub_dir, "summary.json")) as fh:
@@ -1001,10 +992,6 @@ def emit_plotdata(run_dir: str, which: str, out_path: str | None = None) -> str:
         _, rows = read_csv(os.path.join(run_dir, "modes.csv"))
         if not rows:
             raise ConfigError(["plot: modes.csv is empty"])
-        freqs = {}
-        for r in rows:
-            if r["stage"] == "baseline" and r["amplitude"] != "":
-                freqs.setdefault(r["mode"], []).append(float(r["frequency"]))
         series = {}
         for stage in ("baseline", "raw", "final"):
             stage_rows = [r for r in rows if r["stage"] == stage and r["mode"] == "0"]

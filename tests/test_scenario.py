@@ -4,9 +4,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fault_only_config, null_config, read_rows, read_summary
-from shmsim import modal
+from shmsim import modal, scenario
 from shmsim.cli import main as cli_main
 from shmsim.scenario import (
     MODES,
@@ -111,6 +113,64 @@ class TestValidation:
         "duration_not_int": (("faults", 0, "duration_rounds"), "x", "faults[0].duration_rounds"),
         "single_dof": (("structure", "n_dof"), 1, "structure: at least 2 DOF"),
         "isolated_nodes": (("topology", "r_min_factor"), 0.5, "topology: nodes [0, 1,"),
+        # crashed the validator
+        "ambient_fraction_str": (
+            ("excitation", "ambient_fraction"), "x", "excitation.ambient_fraction:"
+        ),
+        "frequency_factor_str": (
+            ("excitation", "frequency_factor"), "x", "excitation.frequency_factor:"
+        ),
+        "frequency_str": (("excitation", "frequency"), "x", "excitation.frequency:"),
+        "noise_fraction_str": (("sensors", "noise_fraction"), "x", "sensors.noise_fraction:"),
+        # passed validation, then crashed the run
+        "amplitude_str": (("excitation", "amplitude"), "x", "excitation.amplitude:"),
+        "bins_float": (("detection", "bins"), 4.5, "detection.bins:"),
+        "scope_margin_negative": (
+            ("reconstruction", "scope_margin"), -1, "reconstruction.scope_margin:"
+        ),
+        "bytes_per_sample_str": (
+            ("energy", "bytes_per_sample"), "x", "energy.bytes_per_sample:"
+        ),
+        "stuck_value_str": (("faults", 0, "stuck_value"), "x", "faults[0].stuck_value:"),
+        "drift_rate_str": (
+            ("faults", 0),
+            {"kind": "drift", "sensor_id": 5, "onset_round": 5, "drift_rate": "fast"},
+            "faults[0].drift_rate:",
+        ),
+        "quantization_step_zero": (
+            ("faults", 0),
+            {
+                "kind": "precision_degradation",
+                "sensor_id": 5,
+                "onset_round": 5,
+                "quantization_step": 0,
+            },
+            "faults[0].quantization_step:",
+        ),
+        "gain_negative": (
+            ("faults", 0),
+            {"kind": "debonding_gain", "sensor_id": 5, "onset_round": 5, "gain": -1},
+            "faults[0].gain:",
+        ),
+        # silently truncated to an int
+        "damage_location_float": (
+            ("damage",), {"location": 1.5, "severity": 0.2, "onset_round": 5}, "damage.location:"
+        ),
+        "damage_onset_float": (
+            ("damage",), {"location": 1, "severity": 0.2, "onset_round": 5.7}, "damage.onset_round:"
+        ),
+        "R_float": (("detection", "R"), 2.5, "detection.R:"),
+        "scope_margin_float": (
+            ("reconstruction", "scope_margin"), 2.7, "reconstruction.scope_margin:"
+        ),
+        # silently ignored or replaced
+        "fault_parameters": (
+            ("faults", 0, "parameters"), {"stuck_value": 2.0}, "faults[0].parameters:"
+        ),
+        "section_key_typo": (("reconstruction", "scope_margn"), 2, "reconstruction.scope_margn:"),
+        "top_level_typo": (("monitorng",), {"rounds": 3}, "monitorng:"),
+        "excitation_location": (("excitation", "location"), 3, "excitation.location:"),
+        "r_min_zero": (("topology", "r_min"), 0, "topology.r_min:"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -137,6 +197,51 @@ class TestValidation:
         assert [e.split(":")[0] for e in err.value.errors] == [
             "seed", "faults[0].duration_rounds", "faults[1].duration_rounds", "modal.band"
         ]
+
+    # values that break a row's type or bound: wrong types, bools, floats for
+    # ints, zero, negatives, null, non-finite numbers, short and long lists
+    BAD_VALUES = st.one_of(
+        st.sampled_from([None, True, False, "x", [], [1.0], [2.0, 1.0, 3.0], {}]),
+        st.integers(-3, 30),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+    @staticmethod
+    @st.composite
+    def mutated_configs(draw):
+        """fast_config (with damage) with one to three of the table's keys broken."""
+        cfg = fast_config(damage={"location": 4, "severity": 0.2, "onset_round": 6})
+        for _ in range(draw(st.integers(1, 3))):
+            path, *_ = draw(st.sampled_from(scenario._FIELDS))
+            head, _, key = path.rpartition(".")
+            node = cfg
+            if head.startswith("faults["):  # a fault-entry row: break the first entry
+                faults = cfg["faults"]
+                node = faults[0] if isinstance(faults, list) and faults else None
+                kind = head[len("faults["):-1]
+                if kind and isinstance(node, dict):
+                    node["kind"] = kind
+            elif head:
+                node = cfg.setdefault(head, {})
+            if not isinstance(node, dict):
+                continue  # an earlier mutation replaced the parent
+            action = draw(st.sampled_from(["value", "drop", "unknown sibling"]))
+            if action == "value":
+                node[key] = draw(TestValidation.BAD_VALUES)
+            elif action == "drop":
+                node.pop(key, None)
+            else:
+                node[key + "_typo"] = 1
+        return cfg
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(cfg=mutated_configs())
+    def test_validator_returns_or_raises_config_error(self, cfg):
+        """Whatever a config holds, validation either resolves it or lists why not."""
+        try:
+            validate_config(cfg)
+        except ConfigError as err:
+            assert err.errors
 
 
 class TestDeterminism:
