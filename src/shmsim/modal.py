@@ -46,6 +46,11 @@ class LocalModeEstimate:
         return self.frequencies.size == 0
 
 
+def _is_flat(samples: np.ndarray) -> bool:
+    """True for a window with no spread beyond rounding (a stuck sensor)."""
+    return float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples))))
+
+
 def extract_local_modes(
     window,
     config: ModalConfig,
@@ -55,13 +60,16 @@ def extract_local_modes(
     """Peak-pick the averaged periodogram of one node's round window.
 
     ``reference`` is the reference node's synchronized window for the sign
-    convention; without it all signs are positive and the estimate is its
-    own reference.
+    convention; without it, or when it is flat, all signs are positive and
+    the estimate is its own reference.
     """
     if window is None:
         raise ModalError("extract_local_modes needs a delivered window")
     samples = np.asarray(window.samples, dtype=float)
     fs = 1.0 / window.dt
+    ref_samples = None if reference is None else np.asarray(reference.samples, dtype=float)
+    if ref_samples is not None and _is_flat(ref_samples):
+        ref_samples = reference_id = None  # a flat window's cross-spectrum phase is noise
     empty = LocalModeEstimate(
         sensor_id=window.sensor_id,
         round_index=window.round_index,
@@ -70,7 +78,7 @@ def extract_local_modes(
         reference_id=window.sensor_id if reference_id is None else reference_id,
     )
     # flat signals (stuck sensors) have no spectral peaks at all
-    if float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples)))):
+    if _is_flat(samples):
         return empty
     nperseg = min(config.segment_length, samples.size)
     freqs, psd = welch(samples, fs=fs, nperseg=nperseg)
@@ -95,8 +103,7 @@ def extract_local_modes(
     if not sel:
         return empty
     sel = np.sort(np.asarray(sel))
-    if reference is not None:
-        ref_samples = np.asarray(reference.samples, dtype=float)
+    if ref_samples is not None:
         _, cross = csd(samples, ref_samples, fs=fs, nperseg=nperseg)
         signs = np.where(np.real(cross[sel]) >= 0.0, 1.0, -1.0)
     else:

@@ -247,6 +247,7 @@ class ScenarioConfig:
     detection: det.DetectionConfig
     reconstruction: kal.ReconstructionConfig
     topology: net.TopologySpec
+    graph: net.CommunicationGraph  # built once from topology
     energy: net.EnergyParams
     window: int
     training_rounds: int
@@ -261,6 +262,10 @@ class ScenarioConfig:
     @property
     def total_rounds(self) -> int:
         return self.training_rounds + self.test_rounds
+
+    def round_start(self, d: int) -> float:
+        """Start time (s) of round d's window; fault onsets use the same value."""
+        return d * self.window * self.spec.dt
 
 
 def validate_config(raw: dict):
@@ -299,6 +304,17 @@ def validate_config(raw: dict):
     except ValueError as exc:
         errors.append(f"structure: {exc}")
         spec, frequencies = None, np.ones(1)
+    if "masses" in st and "stiffnesses" in st:  # the arrays set the structure: echo it
+        given = raw["structure"]
+        if "n_dof" in given and st["n_dof"] != len(st["masses"]):
+            errors.append(f"structure.n_dof: masses and stiffnesses make it {len(st['masses'])}")
+        errors.extend(
+            f"structure.{key}: unused when masses and stiffnesses are given"
+            for key in ("mass", "stiffness")
+            if key in given
+        )
+        st["n_dof"] = len(st["masses"])
+        del st["mass"], st["stiffness"]
     n_dof = spec.n_dof if spec is not None else st["n_dof"]
     if n_dof < 2:
         errors.append("structure: at least 2 DOF are required (one sensor channel per DOF)")
@@ -345,7 +361,8 @@ def validate_config(raw: dict):
             bs_position=np.asarray(top["bs"] or [0.0, field_size[1] / 2.0], dtype=float),
             field_size=field_size,
         )
-        isolated = net.build_neighborhoods(topology).isolated
+        graph = net.build_neighborhoods(topology)
+        isolated = graph.isolated
         if isolated and not _POLICIES[cfg["mode"]].frequency_matching:
             errors.append(
                 f"topology: nodes {isolated} have no neighbour within r_min; MI detection needs one"
@@ -392,6 +409,7 @@ def validate_config(raw: dict):
         detection=det.DetectionConfig(**cfg["detection"]),
         reconstruction=kal.ReconstructionConfig(**cfg["reconstruction"]),
         topology=topology,
+        graph=graph,
         energy=net.EnergyParams(**cfg["energy"]),
         window=window,
         training_rounds=training_rounds,
@@ -485,11 +503,10 @@ class _Simulator:
         clean = self._clean_round(d)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE, d]))
         noisy = clean + self.noise_std[:, None] * rng.standard_normal(clean.shape)
-        start = d * cfg.window * cfg.spec.dt
         windows = {
             ch: sen.SignalWindow(
                 sensor_id=ch,
-                start_time=start,
+                start_time=cfg.round_start(d),
                 dt=cfg.spec.dt,
                 samples=noisy[ch],
                 round_index=d,
@@ -500,14 +517,18 @@ class _Simulator:
 
 
 def resolve_fault_profiles(config: ScenarioConfig, signal_rms: np.ndarray):
-    """Materialize fault schedules into absolute-magnitude FaultProfile objects."""
+    """Materialize fault schedules into absolute-magnitude FaultProfile objects.
+
+    A profile starts exactly at its onset round's window start; which rounds
+    it is applied to is ``_fault_active``'s decision.
+    """
     profiles = []
     schedule = []
     window_s = config.window * config.spec.dt
     for i, f in enumerate(config.faults):
         kind, ch = f["kind"], f["sensor_id"]
         rms = float(signal_rms[ch])
-        onset = float(f["onset_round"]) * window_s
+        onset = config.round_start(f["onset_round"])
         duration = (
             math.inf if f["duration_rounds"] is None else float(f["duration_rounds"]) * window_s
         )
@@ -570,7 +591,6 @@ class _Run:
 
     cfg: ScenarioConfig
     policy: _Policy
-    graph: net.CommunicationGraph
     bs_hops: dict  # node -> route to the BS as (from, to, distance) hops
     noise_var: dict  # channel -> measurement noise variance
     loss_rng: np.random.Generator
@@ -602,7 +622,7 @@ def _transport(run: _Run, d: int, delivered: dict) -> dict:
     )
     report_bits = (report_bytes + params.header_bytes) * 8
     for ch in range(cfg.n_nodes):
-        n_neighbors = len(run.graph.neighbors[ch])
+        n_neighbors = len(run.cfg.graph.neighbors[ch])
         if policy.distributed:
             traffic = [net.Transmission(raw_bits, cfg.topology.r_min)]
             pairs = n_neighbors if d < cfg.training_rounds else 2 * n_neighbors
@@ -640,7 +660,7 @@ def _extract(run: _Run, d: int, windows: dict) -> list:
             estimates.append(mod.LocalModeEstimate(ch, d, np.empty(0), np.empty(0), ch))
             continue
         # the lowest-id node in hearing range fixes the cross-spectrum sign
-        ref = min([ch] + run.graph.neighbors[ch])
+        ref = min([ch] + run.cfg.graph.neighbors[ch])
         ref_w = windows[ref] if ref != ch else None
         if ref_w is None:
             ref = ch
@@ -689,7 +709,7 @@ def _train(run: _Run, d: int, view: dict, estimates: list):
             pass
     if d < cfg.training_rounds - 1:
         return
-    neighbors = run.graph.neighbors
+    neighbors = run.cfg.graph.neighbors
     pairs = sorted({det.CorrelationModel.pair_key(i, j) for i in neighbors for j in neighbors[i]})
     run.model = det.train_correlation_model(run.training_windows, cfg.detection, pairs=pairs)
     if len(run.baseline_rounds) >= 2:
@@ -703,7 +723,7 @@ def _detect(run: _Run, d: int, view: dict, estimates: list) -> dict:
     """Each node's verdict for the round: MI detection, or the NFMC frequency check."""
     if not run.policy.frequency_matching:
         return det.detection_round(
-            view, run.graph.neighbors, run.model, run.cfg.detection, round_index=d
+            view, run.cfg.graph.neighbors, run.model, run.cfg.detection, round_index=d
         )
     # NFMC-style baseline: flag nodes whose peak frequency mismatches the consensus
     peaks = {e.sensor_id: None if e.is_empty else float(e.frequencies[0]) for e in estimates}
@@ -731,7 +751,7 @@ def _scan(run: _Run, d: int, view: dict, decisions: dict):
     for ch in sorted(decisions):
         if view[ch] is not None or decisions[ch].verdict != "faulty":
             continue
-        node_set = sorted({ch, *run.graph.neighbors[ch]})
+        node_set = sorted({ch, *run.cfg.graph.neighbors[ch]})
         if len(node_set) < 3:
             continue
         try:
@@ -763,7 +783,7 @@ def _reconstruct(run: _Run, d: int, view: dict, flagged: list, clean: np.ndarray
     truth = {ch: clean[ch] for ch in range(cfg.n_nodes)}
     if policy.distributed:
         batches = [
-            ([ch], sorted([ch] + [j for j in run.graph.neighbors[ch] if j not in flagged]))
+            ([ch], sorted([ch] + [j for j in run.cfg.graph.neighbors[ch] if j not in flagged]))
             for ch in flagged
         ]
     else:
@@ -837,17 +857,15 @@ def run_scenario(config, out_dir: str) -> RunManifest:
     cfg = config
     os.makedirs(out_dir, exist_ok=True)
     sim = _Simulator(cfg)
-    graph = net.build_neighborhoods(cfg.topology)
     profiles, fault_schedule = resolve_fault_profiles(cfg, sim.signal_rms)
     damage_schedule = [] if cfg.damage is None else [dict(cfg.damage)]
     bs_hops = {}
     for ch in range(cfg.n_nodes):
-        path = net.shortest_path_route(graph.routing, ch, net.BS)
+        path = net.shortest_path_route(cfg.graph.routing, ch, net.BS)
         bs_hops[ch] = [(a, b, cfg.topology.distance(a, b)) for a, b in zip(path[:-1], path[1:])]
     run = _Run(
         cfg=cfg,
         policy=_POLICIES[cfg.mode],
-        graph=graph,
         bs_hops=bs_hops,
         noise_var={ch: float(sim.noise_std[ch] ** 2) for ch in range(cfg.n_nodes)},
         loss_rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, _LOSS])),
@@ -858,7 +876,8 @@ def run_scenario(config, out_dir: str) -> RunManifest:
 
     for d in range(cfg.total_rounds):
         clean, windows = sim.measured_round(d)
-        delivered = {ch: sen.apply_faults(windows[ch], profiles) for ch in windows}
+        active = [p for p, e in zip(profiles, fault_schedule) if _fault_active(e, d)]
+        delivered = {ch: sen.apply_faults(windows[ch], active) for ch in windows}
         view = _transport(run, d, delivered)
         estimates = _extract(run, d, view)
         if d < cfg.training_rounds:

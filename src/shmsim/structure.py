@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
+from scipy.signal import lfilter
 
 
 class StructureError(ValueError):
@@ -70,14 +71,8 @@ class StructureSpec:
 
     def stiffness_matrix(self) -> np.ndarray:
         k = self.stiffnesses
-        n = k.size
-        mat = np.zeros((n, n))
-        for i in range(n):
-            mat[i, i] = k[i] + (k[i + 1] if i + 1 < n else 0.0)
-            if i + 1 < n:
-                mat[i, i + 1] = -k[i + 1]
-                mat[i + 1, i] = -k[i + 1]
-        return mat
+        coupling = np.diag(-k[1:], 1)  # story i + 1 joins masses i and i + 1
+        return np.diag(k + np.append(k[1:], 0.0)) + coupling + coupling.T
 
     def eigenvalues(self) -> np.ndarray:
         """Generalized eigenvalues of (K, M) in rad^2/s^2, ascending."""
@@ -184,19 +179,14 @@ class ResponseRecord:
 def eigen_modes(spec: StructureSpec) -> ModalBasis:
     """Solve K phi = delta M phi, mass-normalized, sorted by ascending frequency."""
     try:
-        vals, vecs = eigh(spec.stiffness_matrix(), spec.mass_matrix())
+        vals, vecs = eigh(spec.stiffness_matrix(), spec.mass_matrix())  # vals ascending
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise StructureError(f"eigen-solve failed for spec {spec!r}: {exc}") from exc
-    order = np.argsort(vals)
-    vals = np.asarray(vals, dtype=float)[order]
-    vecs = np.asarray(vecs, dtype=float)[:, order]
     if np.any(vals <= 0.0):
         raise StructureError(f"non-positive eigenvalue encountered for spec {spec!r}")
     # sign convention: largest-magnitude entry of each mode is positive
-    for j in range(vecs.shape[1]):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = vecs * np.where(peaks < 0.0, -1.0, 1.0)
     freqs = np.sqrt(vals) / (2.0 * math.pi)
     return ModalBasis(frequencies=freqs, mode_shapes=vecs, eigenvalues=vals)
 
@@ -223,27 +213,42 @@ def _zoh_march(
 ):
     """Exact zero-order-hold march of decoupled modal oscillators.
 
+    With the force f held over each step, ``w = q + i qd / omega`` obeys
+    ``w[k+1] = rho w[k] + (1 - rho) f[k] / delta`` with ``rho = exp(-i omega dt)``,
+    one first-order recurrence per mode.
     modal_force: (p, n_steps) forcing per mode, held constant over each step.
-    Returns modal displacement/velocity histories sampled at step starts,
-    plus the state after the final step.
+    Returns modal displacement/velocity histories (p, n_steps + 1) sampled at
+    step starts; the last column is the state after the final step.
     """
     delta = basis.eigenvalues
     omega = np.sqrt(delta)
-    c = np.cos(omega * dt)
-    s = np.sin(omega * dt)
-    s_w = s / omega
-    n_steps = modal_force.shape[1]
-    q_hist = np.empty((delta.size, n_steps))
-    qd_hist = np.empty((delta.size, n_steps))
-    q, qd = q0.copy(), qd0.copy()
-    for k in range(n_steps):
-        q_hist[:, k] = q
-        qd_hist[:, k] = qd
-        qp = modal_force[:, k] / delta
-        dq = q - qp
-        q = qp + dq * c + qd * s_w
-        qd = -dq * omega * s + qd * c
-    return q_hist, qd_hist, q, qd
+    rho = np.exp(-1j * omega * dt)
+    w = np.empty((delta.size, modal_force.shape[1] + 1), dtype=complex)
+    w[:, 0] = q0 + 1j * qd0 / omega
+    for m in range(delta.size):
+        w[m, 1:], _ = lfilter(
+            [1.0 - rho[m]], [1.0, -rho[m]], modal_force[m] / delta[m], zi=[rho[m] * w[m, 0]]
+        )
+    return w.real, omega[:, None] * w.imag
+
+
+def _march(spec: StructureSpec, x, v, pattern, force, base: bool):
+    """Response of ``spec`` from state (x, v) under ``pattern * force[k]`` held over step k.
+
+    Returns displacement, velocity and acceleration histories (n_dof,
+    force.size) and the state (x, v) after the last step. With ``base`` the
+    acceleration is the absolute one under base motion, ``-M^-1 K x``.
+    """
+    basis = eigen_modes(spec)
+    phi = basis.mode_shapes
+    # mass-normalized basis: q = Phi^T M x
+    q0, qd0 = phi.T @ (spec.masses * x), phi.T @ (spec.masses * v)
+    modal_force = (phi.T @ pattern)[:, None] * force[None, :]
+    q, qd = _zoh_march(basis, modal_force, q0, qd0, spec.dt)
+    qdd = -basis.eigenvalues[:, None] * q[:, :-1]
+    if not base:
+        qdd += modal_force  # qdd = H - delta q, so acceleration superposes exactly
+    return phi @ q[:, :-1], phi @ qd[:, :-1], phi @ qdd, phi @ q[:, -1], phi @ qd[:, -1]
 
 
 def simulate_response(
@@ -269,48 +274,24 @@ def simulate_response(
         pattern = np.zeros(n)
         pattern[excitation.location] = 1.0
 
-    segments = []  # (start_index, spec_for_segment)
-    events = []
-    if damage is None:
-        segments.append((0, spec))
-    else:
-        damaged = apply_damage(spec, damage)  # validates location/severity
+    bounds, specs, events = [0, n_samples], [spec], []  # segment k: specs[k] over bounds[k:k+2]
+    if damage is not None:
+        specs.append(apply_damage(spec, damage))  # validates location/severity
         k_onset = min(n_samples, max(0, int(round(damage.onset / spec.dt))))
         if damage.onset >= spec.duration:
             raise StructureError("damage onset must fall before the end of the run")
-        if k_onset > 0:
-            segments.append((0, spec))
-        segments.append((k_onset, damaged))
+        bounds.insert(1, k_onset)
         events.append((k_onset * spec.dt, damage.location, damage.severity))
 
-    disp = np.empty((n, n_samples))
-    vel = np.empty((n, n_samples))
-    acc = np.empty((n, n_samples))
-    x = np.zeros(n)
-    v = np.zeros(n)
-    mass = spec.masses
-    for idx, (start, seg_spec) in enumerate(segments):
-        stop = segments[idx + 1][0] if idx + 1 < len(segments) else n_samples
+    disp, vel, acc = (np.empty((n, n_samples)) for _ in range(3))
+    x = v = np.zeros(n)
+    for start, stop, seg_spec in zip(bounds, bounds[1:], specs):
         if stop <= start:
             continue
-        basis = eigen_modes(seg_spec)
-        phi = basis.mode_shapes
-        # mass-normalized basis: q = Phi^T M x
-        q0 = phi.T @ (mass * x)
-        qd0 = phi.T @ (mass * v)
-        gamma = phi.T @ pattern  # modal forcing amplitudes
-        modal_force = gamma[:, None] * force_scalar[None, start:stop]
-        q_hist, qd_hist, q_end, qd_end = _zoh_march(basis, modal_force, q0, qd0, spec.dt)
-        disp[:, start:stop] = phi @ q_hist
-        vel[:, start:stop] = phi @ qd_hist
-        if excitation.location is None:
-            # absolute acceleration under base motion: xdd_abs = -M^-1 K x
-            acc[:, start:stop] = phi @ (-basis.eigenvalues[:, None] * q_hist)
-        else:
-            # qdd = H - delta q, so acceleration superposes exactly
-            acc[:, start:stop] = phi @ (modal_force - basis.eigenvalues[:, None] * q_hist)
-        x = phi @ q_end
-        v = phi @ qd_end
+        seg = slice(start, stop)
+        disp[:, seg], vel[:, seg], acc[:, seg], x, v = _march(
+            seg_spec, x, v, pattern, force_scalar[seg], excitation.location is None
+        )
     return ResponseRecord(
         displacements=disp,
         velocities=vel,
@@ -334,16 +315,8 @@ def free_vibration(
     spec: StructureSpec, x0: np.ndarray, v0: np.ndarray
 ) -> ResponseRecord:
     """Unforced response from an initial state (used for conservation checks)."""
-    basis = eigen_modes(spec)
-    phi = basis.mode_shapes
-    q0 = phi.T @ (spec.masses * np.asarray(x0, dtype=float))
-    qd0 = phi.T @ (spec.masses * np.asarray(v0, dtype=float))
     n_samples = spec.n_samples
-    modal_force = np.zeros((basis.n_modes, n_samples))
-    q_hist, qd_hist, _, _ = _zoh_march(basis, modal_force, q0, qd0, spec.dt)
-    disp = phi @ q_hist
-    vel = phi @ qd_hist
-    acc = phi @ (-basis.eigenvalues[:, None] * q_hist)
+    disp, vel, acc, _, _ = _march(spec, x0, v0, np.zeros(spec.n_dof), np.zeros(n_samples), True)
     return ResponseRecord(
         displacements=disp,
         velocities=vel,
@@ -376,16 +349,9 @@ def discrete_state_space(spec: StructureSpec) -> tuple[np.ndarray, np.ndarray]:
     A = [[0, I], [-M^-1 K, 0]], B = [[0], [M^-1]].
     """
     n = spec.n_dof
-    minv_k = spec.stiffness_matrix() / spec.masses[:, None]
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = -minv_k
-    b = np.zeros((2 * n, n))
-    b[n:, :] = np.diag(1.0 / spec.masses)
-    from scipy.linalg import expm
-
-    aug = np.zeros((3 * n, 3 * n))
-    aug[: 2 * n, : 2 * n] = a
-    aug[: 2 * n, 2 * n :] = b
+    aug = np.zeros((3 * n, 3 * n))  # [[A, B], [0, 0]]: its exponential holds both matrices
+    aug[:n, n : 2 * n] = np.eye(n)
+    aug[n : 2 * n, :n] = -(spec.stiffness_matrix() / spec.masses[:, None])
+    aug[n : 2 * n, 2 * n :] = np.diag(1.0 / spec.masses)
     exp_aug = expm(aug * spec.dt)
     return exp_aug[: 2 * n, : 2 * n], exp_aug[: 2 * n, 2 * n :]

@@ -74,6 +74,26 @@ class TestExtraction:
         signs = np.sign(mode2[ok2])
         assert int(np.sum(np.abs(np.diff(signs)) > 0)) == 1
 
+    def test_flat_reference_leaves_node_its_own_reference(self):
+        """A stuck reference's cross-spectrum is rounding residue, so it sets no sign."""
+        spec = uniform_chain(10, 1000.0, 1.769e6, 0.02, 82.0)
+        acc = simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=21)).accelerations
+        config = ModalConfig(segment_length=256, band=(0.5, 4.0), peak_snr=4.0, max_modes=3)
+        estimates = [
+            extract_local_modes(
+                _window(acc[7], sensor_id=7, dt=0.02),
+                config,
+                reference=_window(np.full(acc.shape[1], value), sensor_id=5, dt=0.02),
+                reference_id=5,
+            )
+            for value in (0.1, -3.7)
+        ]
+        for est in estimates:
+            assert not est.is_empty
+            assert est.reference_id == 7
+        np.testing.assert_array_equal(estimates[0].frequencies, estimates[1].frequencies)
+        np.testing.assert_array_equal(estimates[0].amplitudes, estimates[1].amplitudes)
+
     def test_none_window_rejected(self):
         with pytest.raises(ModalError):
             extract_local_modes(None, ModalConfig())

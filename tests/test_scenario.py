@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fault_only_config, null_config, read_rows, read_summary
-from shmsim import modal, scenario
+from shmsim import modal, scenario, sensing
 from shmsim.cli import main as cli_main
+from shmsim.network import IsolatedNodeWarning
 from shmsim.scenario import (
     MODES,
     ConfigError,
@@ -171,6 +174,17 @@ class TestValidation:
         "top_level_typo": (("monitorng",), {"rounds": 3}, "monitorng:"),
         "excitation_location": (("excitation", "location"), 3, "excitation.location:"),
         "r_min_zero": (("topology", "r_min"), 0, "topology.r_min:"),
+        # contradicted or ignored next to explicit masses/stiffnesses
+        "n_dof_disagrees_with_masses": (
+            ("structure",),
+            {"n_dof": 4, "masses": [1000.0] * 6, "stiffnesses": [1.769e6] * 6},
+            "structure.n_dof: masses and stiffnesses make it 6",
+        ),
+        "mass_beside_masses": (
+            ("structure",),
+            {"mass": 900.0, "masses": [1000.0] * 6, "stiffnesses": [1.769e6] * 6},
+            "structure.mass: unused",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -179,6 +193,14 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(self._with(path, value))
         assert any(fragment in e for e in err.value.errors), err.value.errors
+
+    def test_isolated_node_warned_once_per_run(self, tmp_path):
+        cfg = fast_config(mode="frequency_matching_baseline", topology={"r_min": 30.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_scenario(cfg, str(tmp_path / "fm"))
+        messages = [str(w.message) for w in caught if issubclass(w.category, IsolatedNodeWarning)]
+        assert len(messages) == len(set(messages)) == 10  # every node, once each
 
     def test_isolated_nodes_allowed_without_mi_detection(self, tmp_path):
         """The frequency-matching baseline compares no neighbour pairs, so it still runs."""
@@ -253,12 +275,18 @@ class TestDeterminism:
             assert _digest(tmp_path / "a" / name) == _digest(tmp_path / "b" / name), name
 
     def test_manifest_round_trip(self, tmp_path):
-        manifest = run_scenario(fast_config(), str(tmp_path / "a"))
-        with open(tmp_path / "a" / "manifest.json") as fh:
-            echoed = json.load(fh)["config"]
-        run_scenario(echoed, str(tmp_path / "b"))
-        for name in CSV_FILES:
-            assert _digest(tmp_path / "a" / name) == _digest(tmp_path / "b" / name), name
+        six_masses = fast_config(structure={"masses": [1000.0] * 6, "stiffnesses": [1.769e6] * 6})
+        for i, cfg in enumerate((fast_config(), six_masses)):
+            a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+            run_scenario(cfg, str(a))
+            with open(a / "manifest.json") as fh:
+                echoed = json.load(fh)["config"]
+            run_scenario(echoed, str(b))
+            for name in CSV_FILES:
+                assert _digest(a / name) == _digest(b / name), name
+        # the echo names the structure that ran, not the unused uniform-chain defaults
+        assert echoed["structure"]["n_dof"] == 6
+        assert "mass" not in echoed["structure"] and "stiffness" not in echoed["structure"]
 
     def test_seed_changes_outputs(self, tmp_path):
         run_scenario(fast_config(seed=1), str(tmp_path / "a"))
@@ -266,6 +294,42 @@ class TestDeterminism:
         assert _digest(tmp_path / "a" / "detections.csv") != _digest(
             tmp_path / "b" / "detections.csv"
         )
+
+
+class TestFaultClock:
+    """A fault covers whole rounds: from its onset round's first sample to its last round's end."""
+
+    def test_finite_fault_does_not_spill_into_the_next_round(self, tmp_path):
+        cfg = {
+            "seed": 1,
+            "monitoring": {"training_rounds": 12, "rounds": 5},
+            "faults": [
+                {"kind": "missing", "sensor_id": 5, "onset_round": 14, "duration_rounds": 1}
+            ],
+            "damage": None,
+        }
+        run_scenario(cfg, str(tmp_path / "r"))
+        verdicts = {
+            (r["round"], r["node"]): (r["verdict"], r["truth"])
+            for r in read_rows(tmp_path / "r" / "detections.csv")
+        }
+        assert verdicts["14", "5"] == ("missing", "1")
+        assert verdicts["15", "5"] == ("non_faulty", "0")
+        assert read_summary(tmp_path / "r")["detection_accuracy"] == 1.0
+
+    def test_onset_is_the_window_start(self):
+        """A 640-sample window at 0.02 s: 12 * 12.8 s is one ULP past the round-12 start."""
+        cfg = fast_config()
+        cfg["monitoring"].update(training_rounds=12, n_averages=19, segment_length=64)
+        cfg["faults"][0]["onset_round"] = 12
+        config, _ = validate_config(cfg)
+        assert config.window == 640
+        sim = scenario._Simulator(config)
+        profiles, schedule = scenario.resolve_fault_profiles(config, sim.signal_rms)
+        _, windows = sim.measured_round(12)
+        assert schedule[0]["onset_s"] == windows[5].start_time
+        stuck = sensing.apply_faults(windows[5], profiles)
+        assert np.all(stuck.samples == profiles[0].stuck_value)
 
 
 class TestModes:

@@ -136,6 +136,56 @@ class TestSimulateResponse:
         energy = mechanical_energy(spec, rec)
         assert np.max(np.abs(energy - energy[0])) / energy[0] < 1e-6
 
+    def test_recurrence_matches_per_sample_zoh_loop(self):
+        """The modal recurrence agrees with the step-by-step ZOH update (float64 eps x steps)."""
+        spec = uniform_chain(10, 1000.0, 1.769e6, 0.02, 41.0)
+        rec = simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=3))
+        basis = eigen_modes(spec)
+        phi, delta = basis.mode_shapes, basis.eigenvalues
+        omega = np.sqrt(delta)
+        c, s = np.cos(omega * spec.dt), np.sin(omega * spec.dt)
+        gamma = phi.T @ -spec.masses  # base excitation
+        q, qd = np.zeros(spec.n_dof), np.zeros(spec.n_dof)
+        disp, vel = np.empty_like(rec.displacements), np.empty_like(rec.velocities)
+        for k, f in enumerate(rec.excitation_trace):
+            disp[:, k], vel[:, k] = phi @ q, phi @ qd
+            qp = gamma * f / delta
+            q, qd = qp + (q - qp) * c + qd * s / omega, -(q - qp) * omega * s + qd * c
+        for got, ref in ((rec.displacements, disp), (rec.velocities, vel)):
+            assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_free_vibration_long_horizon_matches_closed_form(self):
+        """50 000 exact steps of one oscillator stay on x0 cos(wt) + (v0/w) sin(wt)."""
+        omega = 2 * math.pi * 1.3
+        spec = StructureSpec(masses=[2.0], stiffnesses=[2.0 * omega**2], dt=0.01, duration=500.005)
+        assert spec.n_samples == 50_000
+        x0, v0 = 0.02, -0.15
+        rec = free_vibration(spec, [x0], [v0])
+        wt = omega * rec.times
+        disp = x0 * np.cos(wt) + (v0 / omega) * np.sin(wt)
+        vel = -x0 * omega * np.sin(wt) + v0 * np.cos(wt)
+        assert np.max(np.abs(rec.displacements[0] - disp)) < 1e-9 * np.max(np.abs(disp))
+        assert np.max(np.abs(rec.velocities[0] - vel)) < 1e-9 * np.max(np.abs(vel))
+
+    @pytest.mark.parametrize("location", [None, 2])
+    def test_acceleration_contract_across_damage(self, location):
+        """Base motion: -M^-1 K x; point force f at e_loc: M^-1 (f e_loc - K x); K per segment."""
+        spec = uniform_chain(4, 1.5, 600.0, 0.01, 6.0)
+        damage = DamageSpec(location=1, severity=0.3, onset=3.0)
+        excitation = ExcitationSpec("white_noise", 1.0, location=location, seed=4)
+        rec = simulate_response(spec, excitation, damage)
+        split = int(round(3.0 / spec.dt))
+        for k_mat, seg in (
+            (spec.stiffness_matrix(), slice(0, split)),
+            (apply_damage(spec, damage).stiffness_matrix(), slice(split, None)),
+        ):
+            expected = -(k_mat @ rec.displacements[:, seg])
+            if location is not None:
+                expected[location] += rec.excitation_trace[seg]
+            expected /= spec.masses[:, None]
+            err = np.max(np.abs(rec.accelerations[:, seg] - expected))
+            assert err < 1e-9 * np.max(np.abs(expected))
+
     def test_damage_onset_rebuilds_stiffness(self):
         spec = uniform_chain(4, 1.0, 500.0, 0.01, 8.0)
         damage = DamageSpec(location=1, severity=0.4, onset=4.0)
