@@ -53,7 +53,6 @@ def assemble_round(noisy, tag):
                 reference=None if ch == 0 else SignalWindow(
                     sensor_id=ref, start_time=0.0, dt=0.02, samples=noisy[ref], round_index=tag
                 ),
-                reference_id=None if ch == 0 else ref,
             )
         )
     return assemble_global(estimates, tolerance_hz=2.0 / (256 * 0.02), n_locations=10, round_index=tag)

@@ -149,12 +149,11 @@ class CorrelationModel:
 
     ``edges[channel]`` holds that channel's histogram edges; ``omega_ref``
     maps the unordered pair (i, j), stored with i < j, to its reference MI.
+    A pair missing from ``omega_ref`` is untrained.
     """
 
     edges: dict
     omega_ref: dict
-    window_length: int
-    training_rounds: int
     degenerate_channels: set = field(default_factory=set)
 
     @staticmethod
@@ -171,16 +170,18 @@ class CorrelationModel:
 def train_correlation_model(fault_free_windows: dict, config: DetectionConfig, pairs=None) -> CorrelationModel:
     """Fit bin edges and reference MI from fault-free windows.
 
-    ``fault_free_windows`` maps channel id to a round-ordered list of
-    SignalWindow objects (all channels aligned). ``pairs`` restricts training
-    to the channel pairs actually monitored; by default every unordered pair
-    is trained. Channels with zero variance are flagged degenerate and their
-    pairs get a zero reference.
+    ``fault_free_windows`` maps channel id to a round-aligned list of
+    SignalWindow objects, None for a round the channel did not deliver.
+    ``pairs`` restricts training to the channel pairs actually monitored; by
+    default every unordered pair is trained. Each channel's edges span its
+    delivered windows, and each pair is trained on the rounds both of its
+    channels delivered; a pair with fewer than R such rounds stays untrained.
+    Channels with zero variance are flagged degenerate and their pairs get a
+    zero reference.
     """
     channels = sorted(fault_free_windows)
     if len(channels) < 2:
         raise DetectionError("need at least two channels to train")
-    n_rounds = min(len(fault_free_windows[ch]) for ch in channels)
     if pairs is None:
         pairs = [(i, j) for a, i in enumerate(channels) for j in channels[a + 1 :]]
     pairs = sorted({CorrelationModel.pair_key(i, j) for (i, j) in pairs})
@@ -190,34 +191,28 @@ def train_correlation_model(fault_free_windows: dict, config: DetectionConfig, p
             raise DetectionError(
                 f"pair ({i}, {j}) has {have} training windows; need at least R={config.R}"
             )
-    window_length = fault_free_windows[channels[0]][0].length
     edges = {}
     degenerate = set()
     for ch in channels:
-        cat = np.concatenate([_samples(w) for w in fault_free_windows[ch][:n_rounds]])
+        delivered = [_samples(w) for w in fault_free_windows[ch] if w is not None]
+        if not delivered:
+            continue
+        cat = np.concatenate(delivered)
         if float(np.std(cat)) < 1e-12 * max(1.0, float(np.max(np.abs(cat)))):
             degenerate.add(ch)
             warnings.warn(f"channel {ch} is constant in training data", DegenerateSignalWarning)
         edges[ch] = default_edges(cat, config.bins)
     omega_ref = {}
     for (i, j) in pairs:
+        both = [uv for uv in zip(fault_free_windows[i], fault_free_windows[j]) if None not in uv]
+        if len(both) < config.R:
+            continue
         if i in degenerate or j in degenerate:
             omega_ref[(i, j)] = 0.0
             continue
-        vals = [
-            mutual_information_binned(
-                fault_free_windows[i][d], fault_free_windows[j][d], (edges[i], edges[j])
-            )
-            for d in range(n_rounds)
-        ]
+        vals = [mutual_information_binned(u, v, (edges[i], edges[j])) for u, v in both]
         omega_ref[(i, j)] = float(np.mean(vals))
-    return CorrelationModel(
-        edges=edges,
-        omega_ref=omega_ref,
-        window_length=window_length,
-        training_rounds=n_rounds,
-        degenerate_channels=degenerate,
-    )
+    return CorrelationModel(edges=edges, omega_ref=omega_ref, degenerate_channels=degenerate)
 
 
 def _group_pair_mean(model: CorrelationModel, left: dict, right: dict, skip_same: bool) -> float:
@@ -288,7 +283,8 @@ def detection_round(
     """Run one distributed detection round with decision exchange.
 
     ``windows`` maps channel id -> SignalWindow (or None when that channel
-    delivered nothing). Each delivered neighbor pair's indicator is computed
+    delivered nothing). A pair the model left untrained is skipped like an
+    undelivered one. Each delivered neighbor pair's indicator is computed
     once, the first time either node asks for it, and every decision reads it
     from that per-round table. Every node first decides from all its neighbor
     pairs, then the verdicts are exchanged and nodes re-aggregate with
@@ -315,10 +311,11 @@ def detection_round(
             raise DetectionError(f"node {node} has no neighbors (topology violation)")
         if windows.get(node) is None:
             return NodeDecision(node, round_index, {}, LAMBDA_MAX, "faulty")
-        lambdas = {j: indicator(node, j) for j in neighbors if windows.get(j) is not None}
+        trained = [j for j in neighbors if model.pair_key(node, j) in model.omega_ref]
+        lambdas = {j: indicator(node, j) for j in trained if windows.get(j) is not None}
         if not lambdas:
-            # every neighbor went silent this round: the node cannot be assessed,
-            # so it keeps the initial non-faulty decision
+            # no neighbor pair is both delivered and trained this round: the node
+            # cannot be assessed, so it keeps the initial non-faulty decision
             return NodeDecision(node, round_index, {}, 0.0, "non_faulty")
         usable = [lam for j, lam in lambdas.items() if j not in flagged] or list(lambdas.values())
         lambda_agg = float(np.median(usable))

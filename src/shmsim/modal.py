@@ -51,31 +51,27 @@ def _is_flat(samples: np.ndarray) -> bool:
     return float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples))))
 
 
-def extract_local_modes(
-    window,
-    config: ModalConfig,
-    reference=None,
-    reference_id: int | None = None,
-) -> LocalModeEstimate:
+def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalModeEstimate:
     """Peak-pick the averaged periodogram of one node's round window.
 
     ``reference`` is the reference node's synchronized window for the sign
-    convention; without it, or when it is flat, all signs are positive and
-    the estimate is its own reference.
+    convention. Without it, when it is flat or when it is the node's own
+    window, all signs are positive and the estimate is its own reference.
     """
     if window is None:
         raise ModalError("extract_local_modes needs a delivered window")
     samples = np.asarray(window.samples, dtype=float)
     fs = 1.0 / window.dt
-    ref_samples = None if reference is None else np.asarray(reference.samples, dtype=float)
+    own = reference is None or reference.sensor_id == window.sensor_id
+    ref_samples = None if own else np.asarray(reference.samples, dtype=float)
     if ref_samples is not None and _is_flat(ref_samples):
-        ref_samples = reference_id = None  # a flat window's cross-spectrum phase is noise
+        ref_samples = None  # a flat window's cross-spectrum phase is noise
     empty = LocalModeEstimate(
         sensor_id=window.sensor_id,
         round_index=window.round_index,
         frequencies=np.empty(0),
         amplitudes=np.empty(0),
-        reference_id=window.sensor_id if reference_id is None else reference_id,
+        reference_id=window.sensor_id if ref_samples is None else reference.sensor_id,
     )
     # flat signals (stuck sensors) have no spectral peaks at all
     if _is_flat(samples):

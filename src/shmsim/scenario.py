@@ -596,7 +596,7 @@ class _Run:
     loss_rng: np.random.Generator
     fault_schedule: list
     damage_schedule: list
-    training_windows: dict  # channel -> its delivered training windows
+    training_windows: dict  # channel -> its training windows by round, None where lost
     energy: net.EnergyLedger = field(default_factory=net.EnergyLedger)
     dependability: mod.DependabilityReport = field(default_factory=mod.DependabilityReport)
     detections_rows: list = field(default_factory=list)
@@ -652,21 +652,22 @@ def _transport(run: _Run, d: int, delivered: dict) -> dict:
     return {ch: None if lost[ch] else w for ch, w in delivered.items()}
 
 
-def _extract(run: _Run, d: int, windows: dict) -> list:
-    """Every node's local modes from ``windows``; a node without a window reports none."""
+def _extract(run: _Run, d: int, windows: dict, before=None) -> list:
+    """Every node's local modes from ``windows``; a node without a window reports none.
+
+    ``before`` is the round's raw ``(view, estimates)``: a node whose own and
+    reference windows are unchanged since then keeps its raw estimate.
+    """
     estimates = []
     for ch in range(run.cfg.n_nodes):
-        if windows[ch] is None:
-            estimates.append(mod.LocalModeEstimate(ch, d, np.empty(0), np.empty(0), ch))
-            continue
         # the lowest-id node in hearing range fixes the cross-spectrum sign
         ref = min([ch] + run.cfg.graph.neighbors[ch])
-        ref_w = windows[ref] if ref != ch else None
-        if ref_w is None:
-            ref = ch
-        estimates.append(
-            mod.extract_local_modes(windows[ch], run.cfg.modal, reference=ref_w, reference_id=ref)
-        )
+        if before is not None and windows[ch] is before[0][ch] and windows[ref] is before[0][ref]:
+            estimates.append(before[1][ch])
+        elif windows[ch] is None:
+            estimates.append(mod.LocalModeEstimate(ch, d, np.empty(0), np.empty(0), ch))
+        else:
+            estimates.append(mod.extract_local_modes(windows[ch], run.cfg.modal, windows[ref]))
     return estimates
 
 
@@ -698,8 +699,7 @@ def _train(run: _Run, d: int, view: dict, estimates: list):
     """Keep a fault-free round for the MI model and the curvature baseline; fit both at the end."""
     cfg = run.cfg
     for ch, w in view.items():
-        if w is not None:
-            run.training_windows[ch].append(w)
+        run.training_windows[ch].append(w)
     shape = _assemble(run, d, estimates, "baseline")
     if shape is not None:
         try:
@@ -827,12 +827,9 @@ def _reconstruct(run: _Run, d: int, view: dict, flagged: list, clean: np.ndarray
 
 def _modal(run: _Run, d: int, view: dict, final: dict, estimates: list):
     """Record the raw shape and the final one; return the final shape (None if it failed)."""
-    if all(final[ch] is view[ch] for ch in view):
-        # no window was replaced, so the final shape is the raw one
-        stages = ("raw", "final") if run.policy.reports else ("raw",)
-        return _assemble(run, d, estimates, *stages)
     _assemble(run, d, estimates, "raw")
-    return _assemble(run, d, _extract(run, d, final), "final")
+    stages = ("final",) if run.policy.reports else ()
+    return _assemble(run, d, _extract(run, d, final, (view, estimates)), *stages)
 
 
 def _score(run: _Run, d: int, decisions: dict, flagged: list, shape):

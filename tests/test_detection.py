@@ -273,6 +273,57 @@ class TestTraining:
         assert 2 in model.degenerate_channels
         assert model.reference(1, 2) == 0.0
 
+    def test_lost_rounds_train_each_pair_on_its_common_rounds(self, bench):
+        """Round-aligned lists keep None holes; a pair short of R common rounds stays untrained."""
+        make_round, _, config, _ = bench
+        rounds = [make_round(5000 + d)[0] for d in range(8)]
+        # channel -> rounds it did not deliver; channel 9 delivered none
+        lost = {2: {0, 3}, 3: {3, 5}, 4: {1, 2, 6, 7}, 9: set(range(8))}
+        training = {
+            ch: [None if d in lost.get(ch, ()) else rounds[d][ch] for d in range(8)]
+            for ch in range(N_CHANNELS)
+        }
+        neighbor_map = _neighbor_map()
+        pairs = {CorrelationModel.pair_key(i, j) for i in neighbor_map for j in neighbor_map[i]}
+        model = train_correlation_model(training, config, pairs=pairs)
+
+        def delivered(ch):
+            return [d for d in range(8) if d not in lost.get(ch, ())]
+
+        edges = {
+            ch: default_edges(np.concatenate([rounds[d][ch].samples for d in delivered(ch)]), 16)
+            for ch in range(N_CHANNELS)
+            if delivered(ch)
+        }
+        assert set(model.edges) == set(edges)
+        for i, j in pairs:
+            common = sorted(set(delivered(i)) & set(delivered(j)))
+            if len(common) < config.R:
+                assert (i, j) not in model.omega_ref
+                continue
+            direct = np.mean(
+                [
+                    mutual_information_binned(rounds[d][i], rounds[d][j], (edges[i], edges[j]))
+                    for d in common
+                ]
+            )
+            assert model.reference(i, j) == pytest.approx(direct, rel=1e-12)
+        # (2, 3) keeps its 5 common rounds; every pair of node 4 has fewer than R=5
+        assert (2, 3) in model.omega_ref
+        untrained = {(2, 4), (3, 4), (4, 5), (4, 6), (7, 9), (8, 9)}
+        assert untrained.isdisjoint(model.omega_ref)
+
+        windows, _ = make_round(5100)
+        decisions = detection_round(windows, neighbor_map, model, config)
+        for ch, dec in decisions.items():
+            trained = [j for j in neighbor_map[ch] if model.pair_key(ch, j) in model.omega_ref]
+            assert set(dec.lambdas) == set(trained)
+        # with no trained pair, node 4 is judged as if no neighbor had delivered
+        silent = {ch: None if ch in neighbor_map[4] else w for ch, w in windows.items()}
+        assert decisions[4] == detection_round(silent, neighbor_map, model, config)[4]
+        assert decisions[4].verdict == "non_faulty"
+        assert decisions[9].verdict == "non_faulty"
+
     def test_insufficient_windows_names_pair(self, bench):
         make_round, _, config, _ = bench
         windows, _ = make_round(0)

@@ -59,7 +59,6 @@ class TestExtraction:
                     _window(acc[ch], sensor_id=ch, dt=0.02),
                     config,
                     reference=_window(acc[0], dt=0.02),
-                    reference_id=0 if ch else None,
                 )
             )
         shape = assemble_global(estimates, tolerance_hz=2.0 / (1024 * 0.02), n_locations=10)
@@ -84,7 +83,6 @@ class TestExtraction:
                 _window(acc[7], sensor_id=7, dt=0.02),
                 config,
                 reference=_window(np.full(acc.shape[1], value), sensor_id=5, dt=0.02),
-                reference_id=5,
             )
             for value in (0.1, -3.7)
         ]
@@ -93,6 +91,18 @@ class TestExtraction:
             assert est.reference_id == 7
         np.testing.assert_array_equal(estimates[0].frequencies, estimates[1].frequencies)
         np.testing.assert_array_equal(estimates[0].amplitudes, estimates[1].amplitudes)
+
+    def test_reference_id_comes_from_the_reference_window(self):
+        spec = uniform_chain(10, 1000.0, 1.769e6, 0.02, 82.0)
+        acc = simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=21)).accelerations
+        config = ModalConfig(segment_length=256, band=(0.5, 4.0), peak_snr=4.0, max_modes=3)
+        window = _window(acc[7], sensor_id=7, dt=0.02)
+        est = extract_local_modes(window, config, reference=_window(acc[5], sensor_id=5, dt=0.02))
+        assert est.reference_id == 5
+        own = extract_local_modes(window, config, reference=window)
+        alone = extract_local_modes(window, config)
+        assert own.reference_id == alone.reference_id == 7
+        np.testing.assert_array_equal(own.amplitudes, alone.amplitudes)
 
     def test_none_window_rejected(self):
         with pytest.raises(ModalError):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tempfile
 import warnings
 
 import numpy as np
@@ -266,6 +267,40 @@ class TestValidation:
             assert err.errors
 
 
+class TestRunContract:
+    """A config either fails validation with ConfigError or runs to completion in every mode."""
+
+    @staticmethod
+    @st.composite
+    def lossy_faulty_configs(draw):
+        """fast_config with packet loss and missing or stuck faults on up to every node."""
+        cfg = fast_config(seed=draw(st.integers(1, 12)))
+        cfg["energy"] = {"packet_loss": draw(st.floats(0.0, 0.5))}
+        cfg["faults"] = []
+        for node in draw(st.lists(st.integers(0, 9), unique=True, max_size=10)):
+            fault = {
+                "kind": draw(st.sampled_from(["missing", "stuck_constant"])),
+                "sensor_id": node,
+                "onset_round": draw(st.integers(5, 6)),
+            }
+            if draw(st.booleans()):
+                fault["duration_rounds"] = draw(st.integers(1, 2))
+            cfg["faults"].append(fault)
+        return cfg
+
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(cfg=lossy_faulty_configs())
+    def test_validated_config_completes_in_every_mode(self, cfg):
+        try:
+            validate_config(cfg)
+        except ConfigError as err:
+            assert err.errors
+            return
+        for mode in MODES:
+            with tempfile.TemporaryDirectory() as out:
+                run_scenario(dict(cfg, mode=mode), out)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("mode", MODES)
     def test_rerun_is_byte_identical(self, tmp_path, mode):
@@ -387,6 +422,33 @@ class TestModes:
         config, _ = validate_config(cfg)
         # one raw extraction per node and round, plus one final per node and test round
         assert len(calls) <= config.n_nodes * (config.total_rounds + config.test_rounds)
+
+    def test_final_pass_extracts_only_replaced_windows(self, tmp_path, monkeypatch):
+        """A node is extracted again only when its window or its reference's was replaced."""
+        calls = []
+        extract = modal.extract_local_modes
+
+        def counting(window, *args, **kwargs):
+            calls.append((window.round_index, window.sensor_id))
+            return extract(window, *args, **kwargs)
+
+        monkeypatch.setattr(modal, "extract_local_modes", counting)
+        cfg = fast_config()
+        run_scenario(cfg, str(tmp_path / "run"))
+        config, _ = validate_config(cfg)
+        replaced = {d: set() for d in range(config.total_rounds)}
+        for r in read_rows(tmp_path / "run" / "reconstructions.csv"):
+            replaced[int(r["round"])].add(int(r["node"]))
+        assert any(replaced.values())  # the stuck node is reconstructed
+        neighbors = config.graph.neighbors
+        expected = [(d, ch) for d in range(config.total_rounds) for ch in range(config.n_nodes)]
+        expected += [
+            (d, ch)
+            for d in range(config.training_rounds, config.total_rounds)
+            for ch in range(config.n_nodes)
+            if {ch, min([ch] + neighbors[ch])} & replaced[d]
+        ]
+        assert sorted(calls) == sorted(expected)
 
     # mode -> (reports modes, recovers flagged channels)
     POLICY = {
