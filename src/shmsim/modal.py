@@ -11,11 +11,14 @@ curvature against a fault-free baseline to localize damage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import csd, welch
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import get_window
 
 
 class ModalError(ValueError):
@@ -51,6 +54,45 @@ def _is_flat(samples: np.ndarray) -> bool:
     return float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples))))
 
 
+@functools.lru_cache(maxsize=8)
+def _density_window(n: int, fs: float) -> np.ndarray:
+    """Periodic Hann window of length ``n`` scaled so segment |FFT|² is a density."""
+    win = get_window("hann", n)
+    # builtin sum: the same summation order as scipy's ShortTimeFFT.fac_psd
+    scaled = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
+    scaled.setflags(write=False)
+    return scaled
+
+
+def _segment_spectra(samples: np.ndarray, nperseg: int, fs: float, reference=None):
+    """Welch PSD of ``samples`` and, given ``reference``, the CSD of the pair.
+
+    One batched FFT over the 50%-overlap, mean-removed, Hann-windowed
+    segments; the node's own segment FFTs serve both spectra. Returns
+    ``(freqs, psd, cross)`` with ``cross`` None without a reference, equal bit
+    for bit to ``scipy.signal.welch(samples, fs, nperseg=nperseg)`` and
+    ``csd(samples, reference, fs, nperseg=nperseg)``.
+    """
+    if reference is not None and reference.size != samples.size:
+        raise ModalError("reference window length differs from the node's")
+    win = _density_window(nperseg, fs)
+
+    def segment_fft(x):
+        segs = sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+        return scipy.fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * win, axis=1)
+
+    def one_sided_mean(per_segment):
+        # mean over a contiguous (freq, segment) array: numpy's pairwise order, as scipy's
+        avg = np.ascontiguousarray(per_segment.T).mean(axis=-1)
+        avg[1 : -1 if nperseg % 2 == 0 else None] *= 2
+        return avg
+
+    own = segment_fft(samples)
+    psd = one_sided_mean(own.real**2 + own.imag**2)
+    cross = None if reference is None else one_sided_mean(segment_fft(reference) * np.conj(own))
+    return scipy.fft.rfftfreq(nperseg, 1 / fs), psd, cross
+
+
 def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalModeEstimate:
     """Peak-pick the averaged periodogram of one node's round window.
 
@@ -77,7 +119,7 @@ def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalMod
     if _is_flat(samples):
         return empty
     nperseg = min(config.segment_length, samples.size)
-    freqs, psd = welch(samples, fs=fs, nperseg=nperseg)
+    freqs, psd, cross = _segment_spectra(samples, nperseg, fs, ref_samples)
     in_band = (freqs >= config.band[0]) & (freqs <= config.band[1])
     if not in_band.any():
         raise ModalError("analysis band is empty at this resolution")
@@ -99,8 +141,7 @@ def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalMod
     if not sel:
         return empty
     sel = np.sort(np.asarray(sel))
-    if ref_samples is not None:
-        _, cross = csd(samples, ref_samples, fs=fs, nperseg=nperseg)
+    if cross is not None:
         signs = np.where(np.real(cross[sel]) >= 0.0, 1.0, -1.0)
     else:
         signs = np.ones(sel.size)
@@ -281,14 +322,18 @@ class CurvatureBaseline:
 
     @classmethod
     def from_rounds(cls, curvatures, frequency: float) -> "CurvatureBaseline":
+        """Per-location statistics over the rounds; NaN where fewer than two are finite."""
         stack = np.vstack(curvatures)
         if stack.shape[0] < 2:
             raise ModalError("baseline needs at least two fault-free rounds")
-        return cls(
-            mean=np.nanmean(stack, axis=0),
-            std=np.nanstd(stack, axis=0, ddof=1),
-            frequency=frequency,
-        )
+        ok = np.isfinite(stack).sum(axis=0) >= 2
+        if not ok.any():
+            raise ModalError("no location has two finite baseline curvatures")
+        mean = np.full(stack.shape[1], np.nan)
+        std = np.full(stack.shape[1], np.nan)
+        mean[ok] = np.nanmean(stack[:, ok], axis=0)
+        std[ok] = np.nanstd(stack[:, ok], axis=0, ddof=1)
+        return cls(mean=mean, std=std, frequency=frequency)
 
 
 @dataclass

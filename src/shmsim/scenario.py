@@ -714,9 +714,12 @@ def _train(run: _Run, d: int, view: dict, estimates: list):
     run.model = det.train_correlation_model(run.training_windows, cfg.detection, pairs=pairs)
     if len(run.baseline_rounds) >= 2:
         curvatures, frequencies = zip(*run.baseline_rounds)
-        run.baseline = mod.CurvatureBaseline.from_rounds(
-            curvatures, frequencies[-1] or cfg.base_frequency
-        )
+        try:
+            run.baseline = mod.CurvatureBaseline.from_rounds(
+                curvatures, frequencies[-1] or cfg.base_frequency
+            )
+        except mod.ModalError:
+            pass  # no location has a round-to-round spread: damage stays unscored
 
 
 def _detect(run: _Run, d: int, view: dict, estimates: list) -> dict:

@@ -1,7 +1,10 @@
 """Mode extraction, assembly, curvature and damage diagnosis tests."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.signal import csd, welch
 
 from conftest import (
     SEEDS_20,
@@ -16,6 +19,7 @@ from shmsim.modal import (
     LocalModeEstimate,
     ModalConfig,
     ModalError,
+    _segment_spectra,
     assemble_global,
     curvature,
     diagnose,
@@ -107,6 +111,36 @@ class TestExtraction:
     def test_none_window_rejected(self):
         with pytest.raises(ModalError):
             extract_local_modes(None, ModalConfig())
+
+
+class TestSegmentSpectra:
+    """The batched segment FFT is scipy's welch/csd, bit for bit."""
+
+    @pytest.mark.parametrize("dt", [0.02, 0.01, 0.003])
+    @pytest.mark.parametrize(
+        "size, segment_length",
+        [(2048, 256), (550, 100), (550, 101), (80, 100)],  # odd segment; window shorter than one
+    )
+    def test_equals_scipy(self, size, segment_length, dt):
+        rng = np.random.default_rng(size + segment_length)
+        nperseg = min(segment_length, size)
+        for _ in range(10):
+            samples = rng.uniform(0.01, 100.0) * rng.standard_normal(size) + rng.uniform(-5, 5)
+            reference = 0.5 * samples + rng.standard_normal(size)
+            freqs, psd, cross = _segment_spectra(samples, nperseg, 1.0 / dt, reference)
+            scipy_freqs, scipy_psd = welch(samples, fs=1.0 / dt, nperseg=nperseg)
+            _, scipy_cross = csd(samples, reference, fs=1.0 / dt, nperseg=nperseg)
+            assert np.array_equal(freqs, scipy_freqs)
+            assert np.array_equal(psd, scipy_psd)
+            assert np.array_equal(cross, scipy_cross)
+            assert _segment_spectra(samples, nperseg, 1.0 / dt)[2] is None
+
+    def test_reference_of_another_length_rejected(self):
+        rng = np.random.default_rng(3)
+        window = _window(rng.standard_normal(550))
+        reference = _window(rng.standard_normal(549), sensor_id=1)
+        with pytest.raises(ModalError):
+            extract_local_modes(window, ModalConfig(segment_length=100), reference)
 
 
 class TestAssembly:
@@ -279,3 +313,14 @@ class TestDiagnosis:
     def test_baseline_needs_two_rounds(self):
         with pytest.raises(ModalError):
             CurvatureBaseline.from_rounds([np.zeros(5)], 1.0)
+
+    def test_baseline_skips_locations_without_two_finite_rounds(self):
+        nan = np.nan
+        rounds = [np.array([1.0, 2.0, nan, 4.0]), np.array([3.0, nan, nan, 6.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            baseline = CurvatureBaseline.from_rounds(rounds, 1.0)
+            with pytest.raises(ModalError):
+                CurvatureBaseline.from_rounds([np.array([1.0, nan]), np.array([nan, 2.0])], 1.0)
+        np.testing.assert_array_equal(baseline.mean, [2.0, nan, nan, 5.0])
+        np.testing.assert_array_equal(baseline.std, [np.sqrt(2.0), nan, nan, np.sqrt(2.0)])

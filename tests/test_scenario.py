@@ -273,13 +273,13 @@ class TestRunContract:
     @staticmethod
     @st.composite
     def lossy_faulty_configs(draw):
-        """fast_config with packet loss and missing or stuck faults on up to every node."""
+        """fast_config with packet loss and faults of any kind on up to every node."""
         cfg = fast_config(seed=draw(st.integers(1, 12)))
         cfg["energy"] = {"packet_loss": draw(st.floats(0.0, 0.5))}
         cfg["faults"] = []
         for node in draw(st.lists(st.integers(0, 9), unique=True, max_size=10)):
             fault = {
-                "kind": draw(st.sampled_from(["missing", "stuck_constant"])),
+                "kind": draw(st.sampled_from(sensing.FAULT_KINDS)),
                 "sensor_id": node,
                 "onset_round": draw(st.integers(5, 6)),
             }
@@ -299,6 +299,15 @@ class TestRunContract:
         for mode in MODES:
             with tempfile.TemporaryDirectory() as out:
                 run_scenario(dict(cfg, mode=mode), out)
+
+    def test_lossy_training_without_baseline_spread_completes(self, tmp_path):
+        """No location keeps two finite baseline curvatures: no baseline, no damage, no warning."""
+        cfg = fast_config(9, mode="raw_centralized", energy={"packet_loss": 0.4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_scenario(cfg, str(tmp_path))
+        rows = read_rows(tmp_path / "dependability.csv")
+        assert all(int(r["damage_tp"]) + int(r["damage_fp"]) == 0 for r in rows)
 
 
 class TestDeterminism:
