@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
 
 
 class ModalError(ValueError):
@@ -57,7 +56,8 @@ def _is_flat(samples: np.ndarray) -> bool:
 @functools.lru_cache(maxsize=8)
 def _density_window(n: int, fs: float) -> np.ndarray:
     """Periodic Hann window of length ``n`` scaled so segment |FFT|² is a density."""
-    win = get_window("hann", n)
+    # scipy's general_cosine arithmetic, so it equals get_window("hann", n) bit for bit
+    win = np.ones(1) if n == 1 else 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
     # builtin sum: the same summation order as scipy's ShortTimeFFT.fac_psd
     scaled = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
     scaled.setflags(write=False)

@@ -10,12 +10,12 @@ tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh, expm
-from scipy.signal import lfilter
 
 
 class StructureError(ValueError):
@@ -34,7 +34,11 @@ def _as_positive_vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructureSpec:
-    """Masses (kg), story stiffnesses (N/m), sampling step dt (s) and duration (s)."""
+    """Masses (kg), story stiffnesses (N/m), sampling step dt (s) and duration (s).
+
+    The spec is frozen, so its eigen-solves run once per instance and are
+    cached on it as read-only arrays.
+    """
 
     masses: np.ndarray
     stiffnesses: np.ndarray
@@ -76,8 +80,30 @@ class StructureSpec:
 
     def eigenvalues(self) -> np.ndarray:
         """Generalized eigenvalues of (K, M) in rad^2/s^2, ascending."""
+        return self._eigenvalues
+
+    @functools.cached_property
+    def _eigenvalues(self) -> np.ndarray:
         vals = eigh(self.stiffness_matrix(), self.mass_matrix(), eigvals_only=True)
-        return np.asarray(vals, dtype=float)
+        vals = np.asarray(vals, dtype=float)
+        vals.setflags(write=False)
+        return vals
+
+    @functools.cached_property
+    def _basis(self) -> ModalBasis:
+        try:
+            vals, vecs = eigh(self.stiffness_matrix(), self.mass_matrix())  # vals ascending
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise StructureError(f"eigen-solve failed for spec {self!r}: {exc}") from exc
+        if np.any(vals <= 0.0):
+            raise StructureError(f"non-positive eigenvalue encountered for spec {self!r}")
+        # sign convention: largest-magnitude entry of each mode is positive
+        peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+        vecs = vecs * np.where(peaks < 0.0, -1.0, 1.0)
+        freqs = np.sqrt(vals) / (2.0 * math.pi)
+        for arr in (freqs, vecs, vals):
+            arr.setflags(write=False)
+        return ModalBasis(frequencies=freqs, mode_shapes=vecs, eigenvalues=vals)
 
 
 @dataclass(frozen=True)
@@ -177,18 +203,11 @@ class ResponseRecord:
 
 
 def eigen_modes(spec: StructureSpec) -> ModalBasis:
-    """Solve K phi = delta M phi, mass-normalized, sorted by ascending frequency."""
-    try:
-        vals, vecs = eigh(spec.stiffness_matrix(), spec.mass_matrix())  # vals ascending
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise StructureError(f"eigen-solve failed for spec {spec!r}: {exc}") from exc
-    if np.any(vals <= 0.0):
-        raise StructureError(f"non-positive eigenvalue encountered for spec {spec!r}")
-    # sign convention: largest-magnitude entry of each mode is positive
-    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs = vecs * np.where(peaks < 0.0, -1.0, 1.0)
-    freqs = np.sqrt(vals) / (2.0 * math.pi)
-    return ModalBasis(frequencies=freqs, mode_shapes=vecs, eigenvalues=vals)
+    """Solve K phi = delta M phi, mass-normalized, sorted by ascending frequency.
+
+    The basis is solved once per spec instance and shared: its arrays are read-only.
+    """
+    return spec._basis
 
 
 def apply_damage(spec: StructureSpec, damage: DamageSpec) -> StructureSpec:
@@ -204,6 +223,18 @@ def apply_damage(spec: StructureSpec, damage: DamageSpec) -> StructureSpec:
     return replace(spec, stiffnesses=k)
 
 
+def _unit_powers(phase: np.ndarray, n: int) -> np.ndarray:
+    """``exp(-i phase k)`` for k = 0..n, shape (phase.size, n + 1).
+
+    With ``k = b j + i`` and ``b = isqrt(n) + 1`` each power is a coarse
+    factor times a fine one, so a row costs about 2 sqrt(n) complex exps.
+    """
+    b = math.isqrt(n) + 1
+    fine = np.exp(-1j * np.outer(phase, np.arange(b)))
+    coarse = np.exp(-1j * np.outer(phase, b * np.arange(n // b + 1)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(phase.size, -1)[:, : n + 1]
+
+
 def _zoh_march(
     basis: ModalBasis,
     modal_force: np.ndarray,
@@ -215,20 +246,23 @@ def _zoh_march(
 
     With the force f held over each step, ``w = q + i qd / omega`` obeys
     ``w[k+1] = rho w[k] + (1 - rho) f[k] / delta`` with ``rho = exp(-i omega dt)``,
-    one first-order recurrence per mode.
+    whose solution is ``w[k] = rho^k (w[0] + sum_{j<k} rho^-(j+1) (1 - rho) f[j] / delta)``.
+    Undamped, ``|rho| = 1`` and ``rho^-k = conj(rho^k)``, so the sum is one
+    cumulative sum along time for all modes at once.
     modal_force: (p, n_steps) forcing per mode, held constant over each step.
     Returns modal displacement/velocity histories (p, n_steps + 1) sampled at
     step starts; the last column is the state after the final step.
     """
     delta = basis.eigenvalues
     omega = np.sqrt(delta)
-    rho = np.exp(-1j * omega * dt)
-    w = np.empty((delta.size, modal_force.shape[1] + 1), dtype=complex)
+    powers = _unit_powers(omega * dt, modal_force.shape[1])  # rho^k
+    w = np.empty(powers.shape, dtype=complex)
     w[:, 0] = q0 + 1j * qd0 / omega
-    for m in range(delta.size):
-        w[m, 1:], _ = lfilter(
-            [1.0 - rho[m]], [1.0, -rho[m]], modal_force[m] / delta[m], zi=[rho[m] * w[m, 0]]
-        )
+    np.conjugate(powers[:, 1:], out=w[:, 1:])
+    w[:, 1:] *= modal_force
+    w[:, 1:] *= ((1.0 - powers[:, 1]) / delta)[:, None]
+    np.cumsum(w, axis=1, out=w)
+    w *= powers
     return w.real, omega[:, None] * w.imag
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.signal import csd, welch
+from scipy.signal import csd, get_window, welch
 
 from conftest import (
     SEEDS_20,
@@ -19,6 +19,7 @@ from shmsim.modal import (
     LocalModeEstimate,
     ModalConfig,
     ModalError,
+    _density_window,
     _segment_spectra,
     assemble_global,
     curvature,
@@ -134,6 +135,13 @@ class TestSegmentSpectra:
             assert np.array_equal(psd, scipy_psd)
             assert np.array_equal(cross, scipy_cross)
             assert _segment_spectra(samples, nperseg, 1.0 / dt)[2] is None
+
+    @pytest.mark.parametrize("dt", [0.02, 0.003])
+    @pytest.mark.parametrize("n", [1, 7, 100, 101, 256])
+    def test_density_window_is_scaled_scipy_hann(self, n, dt):
+        fs = 1.0 / dt
+        win = get_window("hann", n)
+        assert np.array_equal(_density_window(n, fs), win * (1 / np.sqrt(sum(win**2) / (1 / fs))))
 
     def test_reference_of_another_length_rejected(self):
         rng = np.random.default_rng(3)

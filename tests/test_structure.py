@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from shmsim.structure import (
     DamageSpec,
     ExcitationSpec,
     StructureError,
     StructureSpec,
+    _zoh_march,
     apply_damage,
     eigen_modes,
     free_vibration,
@@ -51,6 +53,38 @@ class TestEigenModes:
         basis = eigen_modes(uniform_chain(8, 1.0, 500.0, 0.01, 1.0))
         assert np.all(np.diff(basis.frequencies) > 0)
         assert np.allclose(basis.frequencies, np.sqrt(basis.eigenvalues) / (2 * math.pi))
+
+
+class TestEigenCache:
+    """One eigen-solve per spec instance, shared read-only."""
+
+    def test_repeated_calls_return_the_same_objects(self):
+        spec = uniform_chain(5, 1.0, 500.0, 0.01, 1.0)
+        assert eigen_modes(spec) is eigen_modes(spec)
+        assert spec.eigenvalues() is spec.eigenvalues()
+
+    def test_cached_values_equal_a_fresh_solve(self):
+        spec = uniform_chain(7, 2.0, 800.0, 0.01, 1.0)
+        k_mat, m_mat = spec.stiffness_matrix(), spec.mass_matrix()
+        assert np.array_equal(spec.eigenvalues(), eigh(k_mat, m_mat, eigvals_only=True))
+        assert np.array_equal(eigen_modes(spec).eigenvalues, eigh(k_mat, m_mat)[0])
+
+    def test_damaged_spec_gets_its_own_basis(self):
+        spec = uniform_chain(5, 1.0, 500.0, 0.01, 1.0)
+        damaged = apply_damage(spec, DamageSpec(location=1, severity=0.3, onset=0.0))
+        healthy, broken = eigen_modes(spec), eigen_modes(damaged)
+        assert broken is not healthy
+        assert np.all(broken.frequencies < healthy.frequencies)
+        twin = StructureSpec(damaged.masses, damaged.stiffnesses, damaged.dt, damaged.duration)
+        assert np.array_equal(broken.mode_shapes, eigen_modes(twin).mode_shapes)
+        assert eigen_modes(spec) is healthy
+
+    def test_cached_arrays_are_read_only(self):
+        spec = uniform_chain(4, 1.0, 500.0, 0.01, 1.0)
+        basis = eigen_modes(spec)
+        for arr in (basis.frequencies, basis.mode_shapes, basis.eigenvalues, spec.eigenvalues()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
 
 
 class TestSpecValidation:
@@ -154,6 +188,21 @@ class TestSimulateResponse:
         for got, ref in ((rec.displacements, disp), (rec.velocities, vel)):
             assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
+    def test_free_vibration_energy_does_not_drift_over_long_runs(self):
+        """40 000 steps of a 4-story chain: energy holds and the phase stays on the closed form."""
+        spec = uniform_chain(4, 1.5, 600.0, 0.005, 200.0)
+        assert spec.n_samples >= 20_000
+        x0, v0 = np.array([0.1, 0.05, -0.02, 0.0]), np.array([0.0, 0.3, 0.0, -0.1])
+        rec = free_vibration(spec, x0, v0)
+        energy = mechanical_energy(spec, rec)
+        assert np.max(np.abs(energy - energy[0])) / energy[0] < 1e-6
+        basis = eigen_modes(spec)
+        phi, omega = basis.mode_shapes, np.sqrt(basis.eigenvalues)
+        q0, qd0 = phi.T @ (spec.masses * x0), phi.T @ (spec.masses * v0)
+        wt = omega[:, None] * rec.times[None, -1000:]
+        disp = phi @ (q0[:, None] * np.cos(wt) + (qd0 / omega)[:, None] * np.sin(wt))
+        assert np.max(np.abs(rec.displacements[:, -1000:] - disp)) < 1e-9 * np.max(np.abs(disp))
+
     def test_free_vibration_long_horizon_matches_closed_form(self):
         """50 000 exact steps of one oscillator stay on x0 cos(wt) + (v0/w) sin(wt)."""
         omega = 2 * math.pi * 1.3
@@ -195,6 +244,28 @@ class TestSimulateResponse:
         split = int(round(4.0 / spec.dt))
         assert np.allclose(rec.displacements[:, :split], undamaged.displacements[:, :split])
         assert not np.allclose(rec.displacements[:, split:], undamaged.displacements[:, split:])
+
+
+class TestZohMarch:
+    @pytest.mark.parametrize("n_dof, n_steps", [(10, 2049), (100, 551)])
+    def test_matches_per_sample_complex_recurrence(self, n_dof, n_steps):
+        """The closed-form march equals w[k+1] = rho w[k] + (1 - rho) f[k] / delta, step by step."""
+        spec = uniform_chain(n_dof, 1000.0, 1.769e6, 0.02, 1.0)
+        basis = eigen_modes(spec)
+        delta = basis.eigenvalues
+        omega = np.sqrt(delta)
+        rng = np.random.default_rng(n_dof)
+        force = delta[:, None] * rng.standard_normal((n_dof, n_steps))
+        q0, qd0 = rng.standard_normal(n_dof), omega * rng.standard_normal(n_dof)
+        q, qd = _zoh_march(basis, force, q0, qd0, spec.dt)
+        rho = np.exp(-1j * omega * spec.dt)
+        w = np.empty((n_dof, n_steps + 1), dtype=complex)
+        w[:, 0] = q0 + 1j * qd0 / omega
+        for k in range(n_steps):
+            w[:, k + 1] = rho * w[:, k] + (1.0 - rho) * force[:, k] / delta
+        for got, ref in ((q, w.real), (qd, omega[:, None] * w.imag)):
+            err = np.max(np.abs(got - ref), axis=1)
+            assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
 
 
 class TestApplyDamage:
