@@ -62,23 +62,6 @@ def _joint_histogram(a, edges_u, b, edges_v) -> np.ndarray:
     return np.bincount(iu * nv + iv, minlength=nu * nv).astype(float).reshape(nu, nv)
 
 
-def correlation_coefficient(u, v) -> float:
-    """Pearson correlation in [-1, 1]; 0 (with a warning) for flat signals."""
-    a, b = _samples(u), _samples(v)
-    if a.size != b.size:
-        raise DetectionError(f"window length mismatch: {a.size} vs {b.size}")
-    if a.size < 2:
-        raise DetectionError("need at least 2 samples")
-    da, db = a - a.mean(), b - b.mean()
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
-    var_a, var_b = float(da @ da) / a.size, float(db @ db) / b.size
-    if var_a < 1e-12 * scale**2 or var_b < 1e-12 * scale**2:
-        warnings.warn("zero-variance window in correlation", DegenerateSignalWarning)
-        return 0.0
-    rho = float((da @ db) / (a.size * np.sqrt(var_a * var_b)))
-    return min(1.0, max(-1.0, rho))
-
-
 def mutual_information_binned(u, v, edges) -> float:
     """Binned MI (nats) of two windows over fixed per-channel bin edges.
 
@@ -213,44 +196,6 @@ def train_correlation_model(fault_free_windows: dict, config: DetectionConfig, p
         vals = [mutual_information_binned(u, v, (edges[i], edges[j])) for u, v in both]
         omega_ref[(i, j)] = float(np.mean(vals))
     return CorrelationModel(edges=edges, omega_ref=omega_ref, degenerate_channels=degenerate)
-
-
-def _group_pair_mean(model: CorrelationModel, left: dict, right: dict, skip_same: bool) -> float:
-    total, count = 0.0, 0
-    for i in sorted(left):
-        for j in sorted(right):
-            if skip_same and i == j:
-                continue
-            total += model.pair_mi(left[i], right[j], i, j)
-            count += 1
-    if count == 0:
-        raise DetectionError("no channel pairs available for group MI")
-    return total / count
-
-
-def deviation_score(n_windows: dict, f_windows: dict, model: CorrelationModel, R: int) -> float:
-    """Group deviation Delta over R consecutive rounds.
-
-    Delta = sum_t meanMI(N_t, N_t) - sum_t meanMI(F_t, N_t), where the group
-    MI is the mean pairwise MI across the groups' channel pairs. An empty F
-    contributes nothing; the non-faulty group must contain >= 2 channels.
-    This is exposed as a diagnostic, not an optimization objective.
-    """
-    if len(n_windows) < 2:
-        raise DetectionError("non-faulty group needs at least two channels")
-    for ch, wins in {**n_windows, **f_windows}.items():
-        if len(wins) < R:
-            raise DetectionError(f"channel {ch} has fewer than R={R} windows")
-    delta = 0.0
-    for t in range(R):
-        n_t = {ch: n_windows[ch][t] for ch in n_windows}
-        half = [(i, j) for a, i in enumerate(sorted(n_t)) for j in sorted(n_t)[a + 1 :]]
-        nn = float(np.mean([model.pair_mi(n_t[i], n_t[j], i, j) for (i, j) in half]))
-        delta += nn
-        if f_windows:
-            f_t = {ch: f_windows[ch][t] for ch in f_windows}
-            delta -= _group_pair_mean(model, f_t, n_t, skip_same=True)
-    return delta
 
 
 VERDICTS = ("non_faulty", "faulty", "missing")

@@ -14,21 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
-from scipy.linalg.lapack import dposv
 
 from .sensing import SignalWindow
 from .structure import StructureSpec, discrete_state_space
 
 
-# relative max-abs gap to the steady-state gain at which run_filter freezes it
-STEADY_STATE_TOL = 1e-8
 # histogram bins of the missing-sensor scan's KL divergence
 SCAN_BINS = 16
 
 
 class KalmanError(ValueError):
-    """Raised on dimension mismatches, singular innovations or coverage gaps."""
+    """Raised on dimension mismatches, singular noise or innovations, coverage gaps, or a
+    Riccati equation without a finite steady state."""
 
 
 @dataclass
@@ -47,7 +44,11 @@ class ReconstructionConfig:
 
 @dataclass
 class KalmanFilterState:
-    """State, covariance and the matrices of one discrete-time filter."""
+    """State, covariance and the matrices of one discrete-time filter.
+
+    The initial ``P`` is read only by ``kf_predict``; ``run_filter`` replaces
+    it with the steady posterior covariance.
+    """
 
     x: np.ndarray  # (2n,) displacement/velocity state
     P: np.ndarray  # (2n, 2n)
@@ -170,90 +171,79 @@ def filter_for_structure(
     )
 
 
-def _steady_state_gain(a, h, q, r):
-    """Steady-state (DARE) gain K = P H^T (H P H^T + R)^-1, or None if none is found.
+def _steady_prior_covariance(a, h, q, r):
+    """Stabilising solution P of the filter Riccati equation, by doubling.
 
-    P is the stabilising solution of the prior-covariance Riccati equation
-    P = A P A^T + Q - A P H^T (H P H^T + R)^-1 H P A^T (Anderson & Moore,
-    *Optimal Filtering*, 1979).
+    P = A P A^T + Q - A P H^T (H P H^T + R)^-1 H P A^T is the steady prior
+    covariance (Anderson & Moore, *Optimal Filtering*, 1979). Each doubling
+    step takes the recursion from Q over twice as many steps (Anderson, "Second-
+    order convergent algorithms for the steady-state Riccati equation", Int. J.
+    Control 28(2), 1978); it stops once P no longer changes, which happens at
+    the latest when the doubled closed-loop transition underflows to zero.
     """
-    try:
-        p = solve_discrete_are(a.T, h.T, q, r)
-        gain = np.linalg.solve(h @ p @ h.T + r, h @ p).T
-    except (np.linalg.LinAlgError, ValueError):
-        return None
-    return gain if np.all(np.isfinite(gain)) else None
+    eye = np.eye(a.shape[0])
+    with np.errstate(all="ignore"):
+        try:
+            g = h.T @ np.linalg.solve(r, h)
+        except np.linalg.LinAlgError:
+            g = np.nan
+        if not np.isfinite(g).all():
+            raise KalmanError(
+                f"singular measurement noise covariance (condition number {np.linalg.cond(r):.3e})"
+            )
+        a_k, p = a.T, q
+        for doubling in range(1, 65):
+            try:
+                w_a, w_g = np.hsplit(np.linalg.solve(eye + g @ p, np.hstack([a_k, g])), 2)
+            except np.linalg.LinAlgError:
+                break
+            p_next = p + a_k.T @ p @ w_a
+            if not np.isfinite(p_next).all():
+                break
+            if np.array_equal(p_next, p):
+                return p
+            g = g + a_k @ w_g @ a_k.T
+            a_k, p = a_k @ w_a, p_next
+        else:
+            raise KalmanError("the filter Riccati equation did not settle in 64 doublings")
+    raise KalmanError(f"the filter Riccati equation has no finite steady state (doubling {doubling})")
 
 
-def run_filter(state: KalmanFilterState, measurements: np.ndarray, track_covariance: bool = False):
-    """Filter a (rows, T) measurement block with zero input.
+def run_filter(state: KalmanFilterState, measurements: np.ndarray):
+    """Filter a (rows, T) measurement block with the stationary gain.
 
-    Returns (estimates, innovations[, min_eigs]): estimates are the posterior
-    measurement predictions H x_post per step; innovations are m_t - H x_prior;
-    min_eigs is the smallest eigenvalue of each step's posterior covariance.
+    Returns (estimates, innovations): estimates are the posterior measurement
+    predictions H x_post per step; innovations are m_t - H x_prior.
 
-    The gain sequence depends only on A, H, Q, R and P0, so the Riccati
-    recursion stops once the gain is within ``STEADY_STATE_TOL`` (relative,
-    max-abs) of the steady-state DARE gain K; the remaining samples run
-    through the time-invariant filter x <- (A - K H A) x + K m_t, P keeps its
-    value from the freeze step (as does each further min_eigs entry) and
-    ``state.gain`` is K. Outputs then differ from the full recursion by about
-    1e-8 times the signal RMS. When the DARE has no finite solution, the
-    recursion runs over every sample.
+    The gain K = P H^T (H P H^T + R)^-1 comes from the steady prior
+    covariance P of A, H, Q and R, so every sample runs through the
+    time-invariant (Wiener) filter x <- (A - K H A) x + K m_t from
+    ``state.x``. The initial ``state.P`` is read only by ``kf_predict``, not
+    here. On return ``state.gain`` is K and ``state.P`` the steady posterior
+    covariance; an empty block leaves the state untouched.
     """
     rows, n_steps = measurements.shape
     if rows != state.measurement.shape[0]:
         raise KalmanError("measurement block row count does not match the filter")
-    m_rows = measurements.T  # row t is m_t
+    if not n_steps:
+        return np.empty((rows, 0)), np.empty((rows, 0))
     a, h, q, r = state.transition, state.measurement, state.process_noise, state.measurement_noise
-    at, ht, ha = a.T, h.T, h @ a
+    p = _steady_prior_covariance(a, h, q, r)
+    hp, ha = h @ p, h @ a
+    gain_t = np.linalg.solve(hp @ h.T + r, hp)  # K^T = S^-1 H P
+    closed_loop_t = (a - gain_t.T @ ha).T
+    m_rows = measurements.T  # row t is m_t
     xs = np.empty((n_steps + 1, a.shape[0]))  # posterior states; row 0 is the initial state
     xs[0] = state.x
-    min_eigs = np.empty(n_steps) if track_covariance else None
-    k_inf = _steady_state_gain(a, h, q, r) if n_steps else None
-    if k_inf is not None:
-        k_inf_t = k_inf.T
-        k_tol = STEADY_STATE_TOL * float(np.max(np.abs(k_inf)))
-    p = state.P
-    frozen_from = n_steps  # first sample filtered with the frozen gain
-    for t in range(n_steps):
-        p = a @ p @ at
-        p += q
-        ph = p @ ht
-        s = h @ ph
-        s += r
-        _, gain_t, info = dposv(s, ph.T)  # gain_t = S^-1 H P = K^T
-        if info != 0 or not np.isfinite(gain_t).all():
-            raise KalmanError(
-                f"singular innovation covariance (condition number {np.linalg.cond(s):.3e})"
-            )
-        x = a @ xs[t]
-        xs[t + 1] = x + (m_rows[t] - h @ x) @ gain_t
-        p -= ph @ gain_t
-        p = 0.5 * (p + p.T)
-        if track_covariance:
-            min_eigs[t] = np.linalg.eigvalsh(p)[0]
-        if k_inf is not None and np.abs(gain_t - k_inf_t).max() <= k_tol:
-            # the rest of the window runs with K itself: the recursion would keep
-            # approaching it, so this drifts less than holding the last gain
-            frozen_from, gain_t = t + 1, k_inf_t
-            break
-    if n_steps:
-        state.gain = gain_t.T
-    if frozen_from < n_steps:
-        closed_loop_t = (a - state.gain @ ha).T
-        xs[frozen_from + 1 :] = m_rows[frozen_from:] @ gain_t  # the drive K m_t
-        prev = xs[frozen_from]
-        for row in xs[frozen_from + 1 :]:
-            row += prev @ closed_loop_t
-            prev = row
-        if track_covariance:
-            min_eigs[frozen_from:] = min_eigs[frozen_from - 1]
-    state.x, state.P = xs[-1].copy(), p
+    xs[1:] = m_rows @ gain_t  # the drive K m_t
+    prev = xs[0]
+    for row in xs[1:]:
+        row += prev @ closed_loop_t
+        prev = row
+    p_post = p - gain_t.T @ hp
+    state.x, state.P, state.gain = xs[-1].copy(), 0.5 * (p_post + p_post.T), gain_t.T
     est = h @ xs[1:].T
     innov = measurements - ha @ xs[:-1].T
-    if track_covariance:
-        return est, innov, min_eigs
     return est, innov
 
 

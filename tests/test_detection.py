@@ -11,10 +11,8 @@ from shmsim.detection import (
     DetectionConfig,
     DetectionError,
     UnreliableEstimateWarning,
-    correlation_coefficient,
     default_edges,
     detection_round,
-    deviation_score,
     fault_indicator,
     mutual_information_binned,
     train_correlation_model,
@@ -66,29 +64,6 @@ def bench():
     ]
     model = train_correlation_model(training, config, pairs=pairs)
     return make_round, model, config, rms
-
-
-class TestCorrelationCoefficient:
-    def test_identical_windows(self):
-        u = np.sin(np.arange(100) * 0.17)
-        assert correlation_coefficient(u, u) == pytest.approx(1.0, abs=1e-12)
-
-    def test_negated_windows(self):
-        u = np.sin(np.arange(100) * 0.17)
-        assert correlation_coefficient(u, -u) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_independent_windows_small(self):
-        rng = np.random.default_rng(4)
-        u, v = rng.standard_normal(100_000), rng.standard_normal(100_000)
-        assert abs(correlation_coefficient(u, v)) < 0.02  # ~1/sqrt(n) sampling bound
-
-    def test_length_mismatch(self):
-        with pytest.raises(DetectionError):
-            correlation_coefficient(np.ones(5), np.ones(6))
-
-    def test_flat_window_flags_degeneracy(self):
-        with pytest.warns(DegenerateSignalWarning):
-            assert correlation_coefficient(np.ones(50), np.arange(50.0)) == 0.0
 
 
 class TestMutualInformation:
@@ -177,50 +152,6 @@ class TestFaultIndicator:
             fault_indicator(-0.1, 0.5)
         with pytest.raises(DetectionError):
             fault_indicator(0.1, -0.5)
-
-
-class TestDeviationScore:
-    def _groups(self, windows, n_rounds_windows):
-        n_group = {ch: [w[ch] for w in n_rounds_windows] for ch in (3, 4, 6, 7)}
-        return n_group
-
-    def test_empty_faulty_group_nonnegative(self, bench):
-        make_round, model, config, _ = bench
-        rounds = [make_round(600 + t)[0] for t in range(2)]
-        n_group = self._groups(None, rounds)
-        delta = deviation_score(n_group, {}, model, R=2)
-        assert delta >= 0.0
-
-    def test_duplicate_group_cancels(self, bench):
-        make_round, model, config, _ = bench
-        rounds = [make_round(610 + t)[0] for t in range(2)]
-        n_group = self._groups(None, rounds)
-        f_group = {ch: list(wins) for ch, wins in n_group.items()}
-        assert abs(deviation_score(n_group, f_group, model, R=2)) < 1e-12
-
-    def test_stuck_channel_raises_deviation(self, bench):
-        """Empirical ordering: a stuck channel in F lifts Delta on every seed."""
-        make_round, model, config, rms = bench
-        for tag in range(20):
-            windows, _ = make_round(700 + tag)
-            n_group = {ch: [windows[ch]] for ch in (3, 4, 6, 7)}
-            healthy_f = {5: [windows[5]]}
-            stuck = SignalWindow(
-                sensor_id=5,
-                start_time=0.0,
-                dt=0.02,
-                samples=np.full(WINDOW, 3 * rms[5]),
-                round_index=700 + tag,
-            )
-            stuck_f = {5: [stuck]}
-            base = deviation_score(n_group, healthy_f, model, R=1)
-            lifted = deviation_score(n_group, stuck_f, model, R=1)
-            assert lifted > base
-
-    def test_empty_nonfaulty_group_rejected(self, bench):
-        _, model, config, _ = bench
-        with pytest.raises(DetectionError):
-            deviation_score({}, {}, model, R=1)
 
 
 class TestTraining:

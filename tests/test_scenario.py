@@ -273,9 +273,16 @@ class TestRunContract:
     @staticmethod
     @st.composite
     def lossy_faulty_configs(draw):
-        """fast_config with packet loss and faults of any kind on up to every node."""
+        """fast_config with packet loss, faults of any kind on up to every node and any
+        reconstruction config: inflation at both ends, either scope, a margin past the chain."""
         cfg = fast_config(seed=draw(st.integers(1, 12)))
         cfg["energy"] = {"packet_loss": draw(st.floats(0.0, 0.5))}
+        cfg["reconstruction"] = {
+            "variance_inflation": draw(st.sampled_from([1.0, 1e9, 1e300])),
+            "model_scope": draw(st.sampled_from(["neighborhood", "full"])),
+            "scope_margin": draw(st.integers(0, 12)),
+            "scan_report_ratio": draw(st.floats(0.0, 2.0)),
+        }
         cfg["faults"] = []
         for node in draw(st.lists(st.integers(0, 9), unique=True, max_size=10)):
             fault = {
@@ -288,7 +295,7 @@ class TestRunContract:
             cfg["faults"].append(fault)
         return cfg
 
-    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(cfg=lossy_faulty_configs())
     def test_validated_config_completes_in_every_mode(self, cfg):
         try:
