@@ -9,6 +9,8 @@ relative MI change against every neighbor,
 
 aggregates per-pair indicators by median and declares itself faulty above
 the decision threshold. MI is reported in nats.
+Samples bin by ``bin_indices``, the rule the missing-sensor scan's KL shares.
+MI is symmetric by construction: every cell's term comes from integer counts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .sensing import is_flat
 
 LAMBDA_MAX = 10.0  # sentinel indicator for degenerate (near-zero MI) pairs
 _OMEGA_EPS = 1e-9
@@ -40,52 +44,37 @@ def _samples(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _bin_indices(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def bin_indices(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin index per sample; out-of-range values clamp into the edge bins."""
     idx = np.searchsorted(edges, x, side="right") - 1
     return np.clip(idx, 0, edges.size - 2)
-
-
-def _joint_histogram(a, edges_u, b, edges_v) -> np.ndarray:
-    """Joint bin counts in a canonical argument order.
-
-    The arguments are swapped when the second bin-index stream sorts lower,
-    so omega(u, v) and omega(v, u) run the identical float operations and the
-    symmetry contract holds bit-exactly.
-    """
-    iu = _bin_indices(a, edges_u)
-    iv = _bin_indices(b, edges_v)
-    nu, nv = edges_u.size - 1, edges_v.size - 1
-    differs = iu != iv
-    if differs.any() and iu[int(np.argmax(differs))] > iv[int(np.argmax(differs))]:
-        iu, iv, nu, nv = iv, iu, nv, nu
-    return np.bincount(iu * nv + iv, minlength=nu * nv).astype(float).reshape(nu, nv)
 
 
 def mutual_information_binned(u, v, edges) -> float:
     """Binned MI (nats) of two windows over fixed per-channel bin edges.
 
     ``edges`` is a pair (edges_u, edges_v). Samples outside the reference
-    range clamp into the edge bins. Empty cells are skipped; the summation
-    order is canonical so that the result is exactly symmetric in (u, v).
+    range clamp into the edge bins. Empty cells are skipped. The joint and
+    both marginals are integer counts divided by the window length, so every
+    cell's term is the same float under (u, v) <-> (v, u), and the sorted sum
+    makes the result symmetric bit for bit.
     """
     a, b = _samples(u), _samples(v)
     if a.size != b.size:
         raise DetectionError(f"window length mismatch: {a.size} vs {b.size}")
     edges_u, edges_v = (np.asarray(e, dtype=float) for e in edges)
-    n_cells = (edges_u.size - 1) * (edges_v.size - 1)
-    if a.size < n_cells / 10:
+    nu, nv = edges_u.size - 1, edges_v.size - 1
+    if a.size < nu * nv / 10:
         warnings.warn(
-            f"{a.size} samples for {n_cells} histogram cells; MI estimate is unreliable",
+            f"{a.size} samples for {nu * nv} histogram cells; MI estimate is unreliable",
             UnreliableEstimateWarning,
         )
-    hist = _joint_histogram(a, edges_u, b, edges_v)
-    joint = hist / hist.sum()
-    pu = joint.sum(axis=1)
-    pv = joint.sum(axis=0)
-    nz = joint > 0
-    terms = joint[nz] * np.log(joint[nz] / np.outer(pu, pv)[nz])
-    # sorted summation makes omega(u, v) == omega(v, u) bit-exact
+    codes = bin_indices(a, edges_u) * nv + bin_indices(b, edges_v)
+    counts = np.bincount(codes, minlength=nu * nv).reshape(nu, nv)
+    nz = counts > 0
+    joint = counts[nz] / a.size
+    outer = np.outer(counts.sum(axis=1) / a.size, counts.sum(axis=0) / a.size)
+    terms = joint * np.log(joint / outer[nz])
     return max(float(np.sum(np.sort(terms))), 0.0)
 
 
@@ -115,7 +104,6 @@ class DetectionConfig:
     bins: int = 16
     R: int = 5  # consecutive windows used for training / deviation scoring
     threshold: float = 0.5
-    neighborhood_radius: float | None = None
 
     def __post_init__(self):
         if self.bins < 4:
@@ -181,7 +169,7 @@ def train_correlation_model(fault_free_windows: dict, config: DetectionConfig, p
         if not delivered:
             continue
         cat = np.concatenate(delivered)
-        if float(np.std(cat)) < 1e-12 * max(1.0, float(np.max(np.abs(cat)))):
+        if is_flat(cat):
             degenerate.add(ch)
             warnings.warn(f"channel {ch} is constant in training data", DegenerateSignalWarning)
         edges[ch] = default_edges(cat, config.bins)

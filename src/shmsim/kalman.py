@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import bin_indices, default_edges
 from .sensing import SignalWindow
 from .structure import StructureSpec, discrete_state_space
 
@@ -366,26 +367,19 @@ def reconstruct_signals(
 def kl_divergence(y, y_est, edges) -> float:
     """Symmetrized binned KL divergence in bits over shared edges.
 
-    0.5 * sum (p - q) log2(p / q) with a 1e-12 probability floor; zero iff
-    the two histograms coincide, symmetric by construction.
+    0.5 * sum (p - q)(log2 p - log2 q) over the occupied bins, with a 1e-12
+    probability floor; zero iff the two histograms coincide. Samples bin as
+    in the MI statistic (``bin_indices``). Swapping the operands negates both
+    factors exactly, so the result is symmetric bit for bit.
     """
-    a = np.asarray(y.samples if hasattr(y, "samples") else y, dtype=float)
-    b = np.asarray(y_est.samples if hasattr(y_est, "samples") else y_est, dtype=float)
+    a, b = np.asarray(y, dtype=float), np.asarray(y_est, dtype=float)
     if a.size != b.size:
         raise KalmanError(f"window length mismatch: {a.size} vs {b.size}")
     edges = np.asarray(edges, dtype=float)
-    pa = np.histogram(np.clip(a, edges[0], edges[-1]), bins=edges)[0].astype(float)
-    pb = np.histogram(np.clip(b, edges[0], edges[-1]), bins=edges)[0].astype(float)
-    pa /= pa.sum()
-    pb /= pb.sum()
-    # canonical operand order keeps the symmetrized form bit-exactly symmetric
-    differs = pa != pb
-    if differs.any() and pa[int(np.argmax(differs))] > pb[int(np.argmax(differs))]:
-        pa, pb = pb, pa
-    occupied = (pa > 0) | (pb > 0)
-    pf = np.maximum(pa[occupied], 1e-12)
-    qf = np.maximum(pb[occupied], 1e-12)
-    return float(0.5 * np.sum((pf - qf) * np.log2(pf / qf)))
+    p, q = (np.bincount(bin_indices(x, edges), minlength=edges.size - 1) / x.size for x in (a, b))
+    occupied = (p > 0) | (q > 0)
+    p, q = np.maximum(p[occupied], 1e-12), np.maximum(q[occupied], 1e-12)
+    return float(0.5 * np.sum((p - q) * (np.log2(p) - np.log2(q))))
 
 
 @dataclass
@@ -428,18 +422,14 @@ def missing_sensor_scan(
         est, _ = run_filter(make_filter({cand}), block)
         kls = []
         for i, ch in enumerate(node_set):
-            if ch == cand:
-                continue
-            lo = min(block[i].min(), est[i].min())
-            hi = max(block[i].max(), est[i].max())
-            if not hi > lo:
-                hi = lo + 1.0
-            edges = np.linspace(lo, hi, SCAN_BINS + 1)
-            kls.append(kl_divergence(block[i], est[i], edges))
+            if ch != cand:
+                edges = default_edges((block[i], est[i]), SCAN_BINS)
+                kls.append(kl_divergence(block[i], est[i], edges))
         lambdas[cand] = float(np.mean(kls))
-    values = np.array([lambdas[ch] for ch in node_set])
-    med = float(np.median(values))
-    best = min(lambdas, key=lambda ch: (lambdas[ch], ch))
-    margin = float(lambdas[best] / med) if med > 0 else 1.0
-    reported = best if margin < config.scan_report_ratio else None
-    return MissingScanResult(lambdas=lambdas, reported=reported, margin=margin)
+    scan = MissingScanResult(lambdas=lambdas, reported=None, margin=1.0)
+    med = float(np.median(list(lambdas.values())))
+    if med > 0:
+        scan.margin = float(lambdas[scan.best_candidate] / med)
+    if scan.margin < config.scan_report_ratio:
+        scan.reported = scan.best_candidate
+    return scan

@@ -19,6 +19,8 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .sensing import is_flat
+
 
 class ModalError(ValueError):
     """Raised on malformed mode estimates or assembly preconditions."""
@@ -46,11 +48,6 @@ class LocalModeEstimate:
     @property
     def is_empty(self) -> bool:
         return self.frequencies.size == 0
-
-
-def _is_flat(samples: np.ndarray) -> bool:
-    """True for a window with no spread beyond rounding (a stuck sensor)."""
-    return float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples))))
 
 
 @functools.lru_cache(maxsize=8)
@@ -106,7 +103,7 @@ def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalMod
     fs = 1.0 / window.dt
     own = reference is None or reference.sensor_id == window.sensor_id
     ref_samples = None if own else np.asarray(reference.samples, dtype=float)
-    if ref_samples is not None and _is_flat(ref_samples):
+    if ref_samples is not None and is_flat(ref_samples):
         ref_samples = None  # a flat window's cross-spectrum phase is noise
     empty = LocalModeEstimate(
         sensor_id=window.sensor_id,
@@ -116,7 +113,7 @@ def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalMod
         reference_id=window.sensor_id if ref_samples is None else reference.sensor_id,
     )
     # flat signals (stuck sensors) have no spectral peaks at all
-    if _is_flat(samples):
+    if is_flat(samples):
         return empty
     nperseg = min(config.segment_length, samples.size)
     freqs, psd, cross = _segment_spectra(samples, nperseg, fs, ref_samples)
@@ -274,8 +271,8 @@ def assemble_global(
     )
 
 
-def curvature(mode_vector: np.ndarray, spacing: float = 1.0) -> np.ndarray:
-    """Second spatial difference (phi[i-1] - 2 phi[i] + phi[i+1]) / h^2.
+def curvature(mode_vector: np.ndarray) -> np.ndarray:
+    """Second spatial difference phi[i-1] - 2 phi[i] + phi[i+1] over unit location spacing.
 
     Endpoints use the one-sided stencil of their nearest interior point.
     Entries whose stencil touches a missing (NaN) location come out NaN.
@@ -292,11 +289,10 @@ def curvature(mode_vector: np.ndarray, spacing: float = 1.0) -> np.ndarray:
         best = max(best, run)
     if best < 3:
         raise ModalError("curvature needs at least 3 consecutive non-missing locations")
-    h2 = spacing**2
     out = np.full(v.size, np.nan)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
-    out[0] = (v[0] - 2.0 * v[1] + v[2]) / h2
-    out[-1] = (v[-3] - 2.0 * v[-2] + v[-1]) / h2
+    out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+    out[0] = v[0] - 2.0 * v[1] + v[2]
+    out[-1] = v[-3] - 2.0 * v[-2] + v[-1]
     return out
 
 
@@ -349,7 +345,6 @@ def diagnose(
     current: GlobalModeShape,
     baseline: CurvatureBaseline,
     config: ModalConfig | None = None,
-    spacing: float = 1.0,
 ) -> DamageDiagnosis:
     """Classify curvature deviations into damage vs sensor-fault artifacts.
 
@@ -362,7 +357,7 @@ def diagnose(
         raise ModalError("diagnose requires a trained baseline")
     config = config or ModalConfig()
     k = current.nearest_mode(baseline.frequency)
-    curv = curvature(current.mode(k), spacing=spacing)
+    curv = curvature(current.mode(k))
     dev = np.abs(curv - baseline.mean)
     # per-location std floored at the network median: a handful of training
     # rounds underestimates sigma at individual locations

@@ -127,7 +127,6 @@ _FIELDS = (
     ("detection.bins", det.DetectionConfig.bins, "int", "[4, inf)"),
     ("detection.R", det.DetectionConfig.R, "int", "[1, inf)"),
     ("detection.threshold", det.DetectionConfig.threshold, "float", "(0, inf)"),
-    ("detection.neighborhood_radius", None, "float?", "(0, inf)"),  # null: topology.r_min
     ("reconstruction", {}, "section", None),
     ("reconstruction.variance_inflation", kal.ReconstructionConfig.variance_inflation, "float", "[1, inf)"),
     ("reconstruction.model_scope", kal.ReconstructionConfig.model_scope, "enum", ("neighborhood", "full")),
@@ -389,8 +388,6 @@ def validate_config(raw: dict):
 
     mon["window"] = window
     top.update(r_min=topology.r_min, r_max=topology.r_max, bs=topology.bs_position.tolist())
-    if cfg["detection"]["neighborhood_radius"] is None:
-        cfg["detection"]["neighborhood_radius"] = topology.r_min
     cfg["modal"]["band"] = [lo, hi]
     config = ScenarioConfig(
         raw=cfg,
@@ -755,8 +752,6 @@ def _scan(run: _Run, d: int, view: dict, decisions: dict):
         if view[ch] is not None or decisions[ch].verdict != "faulty":
             continue
         node_set = sorted({ch, *run.cfg.graph.neighbors[ch]})
-        if len(node_set) < 3:
-            continue
         try:
             scan = kal.missing_sensor_scan(
                 node_set,

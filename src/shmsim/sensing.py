@@ -70,6 +70,11 @@ class SensorArraySpec:
         return q
 
 
+def is_flat(samples: np.ndarray) -> bool:
+    """True for samples with no spread beyond rounding (a stuck or constant channel)."""
+    return float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples))))
+
+
 @dataclass(frozen=True)
 class SignalWindow:
     """One monitoring round's worth of samples from one sensor channel."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shmsim import detection
 from shmsim.detection import (
@@ -11,12 +13,14 @@ from shmsim.detection import (
     DetectionConfig,
     DetectionError,
     UnreliableEstimateWarning,
+    bin_indices,
     default_edges,
     detection_round,
     fault_indicator,
     mutual_information_binned,
     train_correlation_model,
 )
+from shmsim.kalman import kl_divergence
 from shmsim.sensing import SignalWindow
 from shmsim.structure import ExcitationSpec, simulate_response, uniform_chain
 
@@ -134,6 +138,55 @@ class TestMutualInformation:
     def test_length_mismatch(self):
         with pytest.raises(DetectionError):
             mutual_information_binned(np.ones(5), np.ones(6), (np.linspace(0, 1, 5),) * 2)
+
+
+@st.composite
+def binned_windows(draw):
+    """Two equal-length windows, each with its own edges, drawn to stress the binning.
+
+    A window is plain, has samples placed exactly on its edges, has samples far
+    outside its edge range, or is constant (degenerate edges).
+    """
+    n = draw(st.integers(20, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(n)
+    v = draw(st.floats(-1.0, 1.0)) * u + rng.standard_normal(n)
+    out = []
+    for x in (u, v):
+        bins = draw(st.integers(4, 32))
+        kind = draw(st.sampled_from(["plain", "on_edges", "outside", "constant"]))
+        if kind == "constant":
+            x = np.full(n, float(x[0]))
+        edges = default_edges(x, bins)
+        hit = rng.random(n) < draw(st.floats(0.05, 0.5))
+        if kind == "on_edges":
+            x[hit] = rng.choice(edges, size=int(hit.sum()))
+        elif kind == "outside":
+            far = rng.choice([-1e6, 1e6], size=int(hit.sum()))
+            x[hit] = far * (1.0 + rng.random(far.size))
+        out.append((x, edges))
+    return out
+
+
+class TestBinnedSymmetry:
+    """MI and KL share one binning and are symmetric by construction."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(pair=binned_windows())
+    def test_symmetric_bit_for_bit_over_the_reference_binning(self, pair):
+        (u, edges_u), (v, edges_v) = pair
+        assert mutual_information_binned(u, v, (edges_u, edges_v)) == mutual_information_binned(
+            v, u, (edges_v, edges_u)
+        )
+        assert kl_divergence(u, v, edges_u) == kl_divergence(v, u, edges_u)
+        # the binning that the KL statistic used to take from np.histogram
+        p, q = (
+            np.histogram(np.clip(x, edges_u[0], edges_u[-1]), bins=edges_u)[0] for x in (u, v)
+        )
+        assert np.array_equal(np.bincount(bin_indices(u, edges_u), minlength=p.size), p)
+        occupied = (p > 0) | (q > 0)
+        p, q = (np.maximum(c[occupied] / u.size, 1e-12) for c in (p, q))
+        assert kl_divergence(u, v, edges_u) == 0.5 * np.sum((p - q) * (np.log2(p) - np.log2(q)))
 
 
 class TestFaultIndicator:

@@ -213,7 +213,7 @@ class TestCurvature:
 
     def test_quadratic_vector_constant_two(self):
         vec = np.arange(8.0) ** 2
-        curv = curvature(vec, spacing=1.0)
+        curv = curvature(vec)
         assert np.allclose(curv, 2.0)
 
     def test_linearity_exact(self):

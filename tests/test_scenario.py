@@ -129,6 +129,10 @@ class TestValidation:
         # passed validation, then crashed the run
         "amplitude_str": (("excitation", "amplitude"), "x", "excitation.amplitude:"),
         "bins_float": (("detection", "bins"), 4.5, "detection.bins:"),
+        # removed key: neighbourhoods always come from topology.r_min
+        "neighborhood_radius_removed": (
+            ("detection", "neighborhood_radius"), 5.0, "detection.neighborhood_radius: unknown key"
+        ),
         "scope_margin_negative": (
             ("reconstruction", "scope_margin"), -1, "reconstruction.scope_margin:"
         ),
