@@ -29,7 +29,7 @@ phi1 = basis.mode_shapes[:, 0] / np.abs(basis.mode_shapes[:, 0]).max()
 print(" ", np.array2string(phi1, precision=3))
 
 # damage softens one story; every frequency can only drop
-damaged = apply_damage(spec, DamageSpec(location=4, severity=0.2, onset=0.0))
+damaged = apply_damage(spec, DamageSpec(location=4, severity=0.2))
 shift = eigen_modes(damaged).frequencies - basis.frequencies
 print("\nFrequency shift after 20% stiffness loss at story 4 (Hz):")
 print(" ", np.array2string(shift, precision=4))

@@ -28,7 +28,7 @@ from shmsim.structure import (
 
 WINDOW = 2048
 spec = uniform_chain(10, 1000.0, 1.769e6, 0.02, (WINDOW + 1) * 0.02)
-damaged_spec = apply_damage(spec, DamageSpec(location=4, severity=0.2, onset=0.0))
+damaged_spec = apply_damage(spec, DamageSpec(location=4, severity=0.2))
 config = ModalConfig(segment_length=256, band=(0.93, 15.2), peak_snr=8.0, max_modes=3)
 
 

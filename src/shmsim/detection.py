@@ -263,10 +263,8 @@ def detection_round(
         changed = False
         for node in order:
             if node in flagged and windows.get(node) is not None:
-                dec = decide(node, flagged)
-                if dec.verdict == "non_faulty":
+                if decide(node, flagged).verdict == "non_faulty":
                     flagged.discard(node)
-                    decisions[node] = dec
                     changed = True
     # re-aggregate the cleared nodes against the settled flag set
     for node in sorted(neighbor_map):

@@ -271,23 +271,28 @@ def assemble_global(
     )
 
 
+def _runs(mask) -> list:
+    """Maximal runs of consecutive True entries of ``mask``, each as its list of indices."""
+    runs, run = [], []
+    for i, ok in enumerate(mask):
+        if ok:
+            run.append(i)
+        elif run:
+            runs.append(run)
+            run = []
+    return runs + [run] if run else runs
+
+
 def curvature(mode_vector: np.ndarray) -> np.ndarray:
     """Second spatial difference phi[i-1] - 2 phi[i] + phi[i+1] over unit location spacing.
 
     Endpoints use the one-sided stencil of their nearest interior point.
     Entries whose stencil touches a missing (NaN) location come out NaN.
-    Accepts a GlobalModeShape (first mode) or a plain vector.
     """
-    if isinstance(mode_vector, GlobalModeShape):
-        mode_vector = mode_vector.mode(0)
     v = np.asarray(mode_vector, dtype=float)
     if v.size < 3:
         raise ModalError("curvature needs at least 3 locations")
-    run = best = 0
-    for ok in np.isfinite(v):
-        run = run + 1 if ok else 0
-        best = max(best, run)
-    if best < 3:
+    if max(map(len, _runs(np.isfinite(v))), default=0) < 3:
         raise ModalError("curvature needs at least 3 consecutive non-missing locations")
     out = np.full(v.size, np.nan)
     out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
@@ -366,19 +371,9 @@ def diagnose(
     threshold = config.damage_threshold_sigmas * sigma
     scored = np.isfinite(dev)
     exceed = scored & (dev > threshold)
-    clusters = []
-    run = []
-    for i in range(dev.size):
-        if exceed[i]:
-            run.append(i)
-        elif run:
-            clusters.append(run)
-            run = []
-    if run:
-        clusters.append(run)
     damage, fault_only = [], []
     n = dev.size
-    for cluster in clusters:
+    for cluster in _runs(exceed):
         # endpoint curvature duplicates its neighbor's one-sided stencil, so it
         # cannot count as an independent second location
         stencil_centers = {min(max(i, 1), n - 2) for i in cluster}

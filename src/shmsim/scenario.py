@@ -262,6 +262,11 @@ class ScenarioConfig:
     def total_rounds(self) -> int:
         return self.training_rounds + self.test_rounds
 
+    @property
+    def tolerance_hz(self) -> float:
+        """Frequency match tolerance of mode assembly and the NFMC check: 2 FFT bins."""
+        return 2.0 / (self.modal.segment_length * self.spec.dt)
+
     def round_start(self, d: int) -> float:
         """Start time (s) of round d's window; fault onsets use the same value."""
         return d * self.window * self.spec.dt
@@ -396,9 +401,7 @@ def validate_config(raw: dict):
         spec=spec,
         damaged_spec=None
         if damage is None
-        else struct.apply_damage(
-            spec, struct.DamageSpec(damage["location"], damage["severity"], onset=0.0)
-        ),
+        else struct.apply_damage(spec, struct.DamageSpec(damage["location"], damage["severity"])),
         excitation=exc_cfg,
         sensors=cfg["sensors"],
         faults=cfg["faults"],
@@ -462,9 +465,10 @@ class _Simulator:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self._sine_cache = {}  # damaged? -> deterministic sine response
-        # fault-free noise scale frozen at initialization from round-0 dynamics
-        clean0 = self._clean_round(0)
-        self.signal_rms = np.sqrt(np.mean(clean0**2, axis=1))
+        # fault-free noise scale frozen at initialization from round-0 dynamics,
+        # whose response measured_round(0) reuses
+        self._clean0 = self._clean_round(0)
+        self.signal_rms = np.sqrt(np.mean(self._clean0**2, axis=1))
         self.noise_std = config.sensors["noise_fraction"] * self.signal_rms
 
     def _clean_round(self, d: int) -> np.ndarray:
@@ -497,7 +501,7 @@ class _Simulator:
     def measured_round(self, d: int):
         """(clean, windows) for round d; windows carry global start times."""
         cfg = self.config
-        clean = self._clean_round(d)
+        clean = self._clean0 if d == 0 else self._clean_round(d)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE, d]))
         noisy = clean + self.noise_std[:, None] * rng.standard_normal(clean.shape)
         windows = {
@@ -567,6 +571,13 @@ def _ops_welch(window: int, segment: int) -> float:
 
 def _ops_kf(window: int, state_dim: int) -> float:
     return float(window) * state_dim**3
+
+
+def _kf_state_dim(cfg: ScenarioConfig, channels) -> int:
+    """State dimension charged for a filter over ``channels``: twice its model scope's DOFs."""
+    span = max(channels) - min(channels) + 1 + 2 * cfg.reconstruction.scope_margin
+    full = cfg.reconstruction.model_scope == "full"
+    return 2 * (cfg.n_nodes if full else min(cfg.n_nodes, span))
 
 
 def _send_to_bs(energy, d: int, hops, bits: float, params) -> net.Transmission:
@@ -677,7 +688,7 @@ def _assemble(run: _Run, d: int, estimates: list, *stages):
     try:
         shape = mod.assemble_global(
             estimates,
-            tolerance_hz=2.0 / (cfg.modal.segment_length * cfg.spec.dt),  # 2 FFT bins
+            tolerance_hz=cfg.tolerance_hz,
             n_locations=cfg.n_nodes,
             round_index=d,
         )
@@ -729,10 +740,9 @@ def _detect(run: _Run, d: int, view: dict, estimates: list) -> dict:
     peaks = {e.sensor_id: None if e.is_empty else float(e.frequencies[0]) for e in estimates}
     present = [f for f in peaks.values() if f is not None]
     consensus = float(np.median(present)) if present else 0.0
-    tol = 2.0 / (run.cfg.modal.segment_length * run.cfg.spec.dt)  # 2 FFT bins
     decisions = {}
     for ch, f in sorted(peaks.items()):
-        bad = f is None or abs(f - consensus) > tol
+        bad = f is None or abs(f - consensus) > run.cfg.tolerance_hz
         decisions[ch] = det.NodeDecision(
             node_id=ch,
             round_index=d,
@@ -766,7 +776,7 @@ def _scan(run: _Run, d: int, view: dict, decisions: dict):
             decisions[ch] = replace(decisions[ch], verdict="missing")
         # the scan runs on the lowest-id node that delivered a window
         helper = min(c for c in node_set if view[c] is not None)
-        scan_ops = len(node_set) * _ops_kf(cfg.window, 2 * min(cfg.n_nodes, len(node_set) + 2))
+        scan_ops = len(node_set) * _ops_kf(cfg.window, _kf_state_dim(cfg, node_set))
         net.charge_round(run.energy, helper, [], scan_ops, 0, cfg.energy, round_index=d)
 
 
@@ -801,15 +811,11 @@ def _reconstruct(run: _Run, d: int, view: dict, flagged: list, clean: np.ndarray
             continue
         if policy.distributed:
             helper = min(c for c in scope if c not in faulty)
-            span = max(scope) - min(scope) + 1 + 2 * cfg.reconstruction.scope_margin
-            state_dim = 2 * (
-                cfg.n_nodes if cfg.reconstruction.model_scope == "full" else min(cfg.n_nodes, span)
-            )
             net.charge_round(
                 run.energy,
                 helper,
                 [],
-                _ops_kf(cfg.window, state_dim),
+                _ops_kf(cfg.window, _kf_state_dim(cfg, scope)),
                 0,
                 cfg.energy,
                 round_index=d,

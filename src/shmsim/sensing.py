@@ -1,10 +1,10 @@
 """Sensor measurement and the sensor-fault taxonomy.
 
 Turns ground-truth structural responses into per-channel measured signal
-windows (selector matrix plus additive Gaussian noise) and injects faults:
-debonding attenuation, stuck readings, offset/bias, drift, precision
-degradation, noise bursts, and missing windows. A missing window is delivered
-as ``None`` so downstream code observes absence, never zeros.
+windows (the acceleration at each channel's DOF plus additive Gaussian noise)
+and injects faults: debonding attenuation, stuck readings, offset/bias, drift,
+precision degradation, noise bursts, and missing windows. A missing window is
+delivered as ``None`` so downstream code observes absence, never zeros.
 """
 
 from __future__ import annotations
@@ -59,15 +59,6 @@ class SensorArraySpec:
     @property
     def n_sensors(self) -> int:
         return len(self.positions)
-
-    def measurement_matrix(self, n_dof: int) -> np.ndarray:
-        """Selector Q with exactly one unit entry per row."""
-        q = np.zeros((self.n_sensors, n_dof))
-        for row, dof in enumerate(self.positions):
-            if not (0 <= dof < n_dof):
-                raise SensingError(f"sensor position {dof} out of range for {n_dof} DOFs")
-            q[row, dof] = 1.0
-        return q
 
 
 def is_flat(samples: np.ndarray) -> bool:

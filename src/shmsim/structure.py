@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh, expm
@@ -36,7 +36,7 @@ def _as_positive_vector(values, name: str) -> np.ndarray:
 class StructureSpec:
     """Masses (kg), story stiffnesses (N/m), sampling step dt (s) and duration (s).
 
-    The spec is frozen, so its eigen-solves run once per instance and are
+    The spec is frozen, so its one eigen-solve runs once per instance and is
     cached on it as read-only arrays.
     """
 
@@ -80,14 +80,7 @@ class StructureSpec:
 
     def eigenvalues(self) -> np.ndarray:
         """Generalized eigenvalues of (K, M) in rad^2/s^2, ascending."""
-        return self._eigenvalues
-
-    @functools.cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        vals = eigh(self.stiffness_matrix(), self.mass_matrix(), eigvals_only=True)
-        vals = np.asarray(vals, dtype=float)
-        vals.setflags(write=False)
-        return vals
+        return self._basis.eigenvalues
 
     @functools.cached_property
     def _basis(self) -> ModalBasis:
@@ -108,17 +101,14 @@ class StructureSpec:
 
 @dataclass(frozen=True)
 class DamageSpec:
-    """Stiffness reduction of one story: ``k -> (1 - severity) * k`` from ``onset`` on."""
+    """Stiffness reduction of one story: ``k -> (1 - severity) * k``."""
 
     location: int
     severity: float
-    onset: float
 
     def __post_init__(self):
         if not (0.0 < self.severity <= 1.0):
             raise StructureError("severity must lie in (0, 1]")
-        if self.onset < 0.0:
-            raise StructureError("onset must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -187,7 +177,6 @@ class ResponseRecord:
     accelerations: np.ndarray  # (n_dof, n_samples), m/s^2
     excitation_trace: np.ndarray  # (n_samples,)
     dt: float
-    damage_events: list = field(default_factory=list)  # (time, location, severity)
 
     @property
     def n_dof(self) -> int:
@@ -266,12 +255,11 @@ def _zoh_march(
     return w.real, omega[:, None] * w.imag
 
 
-def _march(spec: StructureSpec, x, v, pattern, force, base: bool):
+def _march(spec: StructureSpec, x, v, pattern, force, base: bool) -> ResponseRecord:
     """Response of ``spec`` from state (x, v) under ``pattern * force[k]`` held over step k.
 
-    Returns displacement, velocity and acceleration histories (n_dof,
-    force.size) and the state (x, v) after the last step. With ``base`` the
-    acceleration is the absolute one under base motion, ``-M^-1 K x``.
+    With ``base`` the acceleration is the absolute one under base motion,
+    ``-M^-1 K x``.
     """
     basis = eigen_modes(spec)
     phi = basis.mode_shapes
@@ -282,58 +270,32 @@ def _march(spec: StructureSpec, x, v, pattern, force, base: bool):
     qdd = -basis.eigenvalues[:, None] * q[:, :-1]
     if not base:
         qdd += modal_force  # qdd = H - delta q, so acceleration superposes exactly
-    return phi @ q[:, :-1], phi @ qd[:, :-1], phi @ qdd, phi @ q[:, -1], phi @ qd[:, -1]
+    return ResponseRecord(
+        displacements=phi @ q[:, :-1],
+        velocities=phi @ qd[:, :-1],
+        accelerations=phi @ qdd,
+        excitation_trace=force,
+        dt=spec.dt,
+    )
 
 
-def simulate_response(
-    spec: StructureSpec,
-    excitation: ExcitationSpec,
-    damage: DamageSpec | None = None,
-) -> ResponseRecord:
+def simulate_response(spec: StructureSpec, excitation: ExcitationSpec) -> ResponseRecord:
     """Time-march the undamped system from rest under the given excitation.
 
     The linear state-space is discretized exactly (zero-order hold on the
-    forcing) in modal coordinates. If ``damage`` is given, the stiffness
-    matrix is rebuilt at the onset sample and the modes recomputed from there
-    onward; the physical state carries over continuously.
+    forcing) in modal coordinates. A damaged structure is its own spec
+    (``apply_damage``); a record marches one spec.
     """
     if excitation.location is not None and not (0 <= excitation.location < spec.n_dof):
         raise StructureError("excitation location out of range")
-    n = spec.n_dof
-    n_samples = spec.n_samples
-    force_scalar = excitation.trace(n_samples, spec.dt)
     if excitation.location is None:
         pattern = -spec.masses  # base acceleration enters as -M @ ones * a_g
     else:
-        pattern = np.zeros(n)
+        pattern = np.zeros(spec.n_dof)
         pattern[excitation.location] = 1.0
-
-    bounds, specs, events = [0, n_samples], [spec], []  # segment k: specs[k] over bounds[k:k+2]
-    if damage is not None:
-        specs.append(apply_damage(spec, damage))  # validates location/severity
-        k_onset = min(n_samples, max(0, int(round(damage.onset / spec.dt))))
-        if damage.onset >= spec.duration:
-            raise StructureError("damage onset must fall before the end of the run")
-        bounds.insert(1, k_onset)
-        events.append((k_onset * spec.dt, damage.location, damage.severity))
-
-    disp, vel, acc = (np.empty((n, n_samples)) for _ in range(3))
-    x = v = np.zeros(n)
-    for start, stop, seg_spec in zip(bounds, bounds[1:], specs):
-        if stop <= start:
-            continue
-        seg = slice(start, stop)
-        disp[:, seg], vel[:, seg], acc[:, seg], x, v = _march(
-            seg_spec, x, v, pattern, force_scalar[seg], excitation.location is None
-        )
-    return ResponseRecord(
-        displacements=disp,
-        velocities=vel,
-        accelerations=acc,
-        excitation_trace=force_scalar,
-        dt=spec.dt,
-        damage_events=events,
-    )
+    rest = np.zeros(spec.n_dof)
+    force = excitation.trace(spec.n_samples, spec.dt)
+    return _march(spec, rest, rest, pattern, force, excitation.location is None)
 
 
 def mechanical_energy(spec: StructureSpec, record: ResponseRecord) -> np.ndarray:
@@ -349,15 +311,7 @@ def free_vibration(
     spec: StructureSpec, x0: np.ndarray, v0: np.ndarray
 ) -> ResponseRecord:
     """Unforced response from an initial state (used for conservation checks)."""
-    n_samples = spec.n_samples
-    disp, vel, acc, _, _ = _march(spec, x0, v0, np.zeros(spec.n_dof), np.zeros(n_samples), True)
-    return ResponseRecord(
-        displacements=disp,
-        velocities=vel,
-        accelerations=acc,
-        excitation_trace=np.zeros(n_samples),
-        dt=spec.dt,
-    )
+    return _march(spec, x0, v0, np.zeros(spec.n_dof), np.zeros(spec.n_samples), True)
 
 
 def uniform_chain(

@@ -235,15 +235,6 @@ class TestCurvature:
         with pytest.raises(ModalError):
             curvature(np.array([1.0, 2.0]))
 
-    def test_accepts_global_mode_shape(self):
-        shape = GlobalModeShape(
-            frequencies=np.array([1.0]),
-            vectors=np.arange(6.0).reshape(6, 1) ** 2,
-            missing=np.zeros((6, 1), dtype=bool),
-            round_index=0,
-        )
-        assert np.allclose(curvature(shape), 2.0)
-
 
 class TestModalAssurance:
     def test_identical_shapes(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fault_only_config, null_config, read_rows, read_summary
-from shmsim import modal, scenario, sensing
+from shmsim import kalman, modal, scenario, sensing, structure
 from shmsim.cli import main as cli_main
 from shmsim.network import IsolatedNodeWarning
 from shmsim.scenario import (
@@ -469,6 +469,55 @@ class TestModes:
             if {ch, min([ch] + neighbors[ch])} & replaced[d]
         ]
         assert sorted(calls) == sorted(expected)
+
+    def test_round_zero_is_simulated_once(self, tmp_path, monkeypatch):
+        """One sine response, then one ambient response per round: round 0's is reused."""
+        calls = []
+        simulate = structure.simulate_response
+
+        def counting(spec, excitation):
+            calls.append(excitation.kind)
+            return simulate(spec, excitation)
+
+        monkeypatch.setattr(structure, "simulate_response", counting)
+        cfg = fast_config()
+        run_scenario(cfg, str(tmp_path / "run"))
+        config, _ = validate_config(cfg)
+        assert sorted(calls) == ["sine"] + ["white_noise"] * config.total_rounds
+
+    def test_filter_charges_honour_scope_margin(self, tmp_path, monkeypatch):
+        """The scan and the reconstruction charge one state-dimension rule, margin included."""
+        dims, scopes = [], []
+        ops_kf = scenario._ops_kf
+
+        def recording_ops(window, state_dim):
+            dims.append(state_dim)
+            return ops_kf(window, state_dim)
+
+        def recording(fn, channels_of):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                scopes.append(channels_of(*args))
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(scenario, "_ops_kf", recording_ops)
+        monkeypatch.setattr(
+            kalman, "missing_sensor_scan",
+            recording(kalman.missing_sensor_scan, lambda node_set, *_: node_set),
+        )
+        monkeypatch.setattr(
+            kalman, "reconstruct_signals",
+            recording(kalman.reconstruct_signals, lambda _, windows, *__: sorted(windows)),
+        )
+        cfg = fast_config(
+            faults=[{"kind": "missing", "sensor_id": 5, "onset_round": 5}],
+            reconstruction={"scope_margin": 3},
+        )
+        run_scenario(cfg, str(tmp_path / "run"))
+        assert len(scopes) >= 2 and len(dims) == len(scopes)
+        assert dims == [2 * min(10, max(c) - min(c) + 1 + 2 * 3) for c in scopes]
 
     # mode -> (reports modes, recovers flagged channels)
     POLICY = {

@@ -52,12 +52,6 @@ class TestMeasure:
             for wa, wb in zip(a[ch], b[ch]):
                 assert np.array_equal(wa.samples, wb.samples)
 
-    def test_selector_matrix_one_unit_entry_per_row(self):
-        array = SensorArraySpec(positions=(2, 0, 1))
-        q = array.measurement_matrix(3)
-        assert np.array_equal(q.sum(axis=1), np.ones(3))
-        assert set(np.unique(q)) == {0.0, 1.0}
-
     def test_position_out_of_range(self, response):
         array = SensorArraySpec(positions=(0, 9))
         with pytest.raises(SensingError):
