@@ -9,8 +9,10 @@ relative MI change against every neighbor,
 
 aggregates per-pair indicators by median and declares itself faulty above
 the decision threshold. MI is reported in nats.
-Samples bin by ``bin_indices``, the rule the missing-sensor scan's KL shares.
-MI is symmetric by construction: every cell's term comes from integer counts.
+Samples bin by ``bin_indices``, the rule the missing-sensor scan's KL shares;
+each delivered window is digitised once per round (and once per training
+round), and every pair's joint counts come from those codes. MI is symmetric
+by construction: every cell's term comes from integer counts.
 """
 
 from __future__ import annotations
@@ -50,32 +52,44 @@ def bin_indices(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, edges.size - 2)
 
 
+def mutual_information_codes(codes_u, codes_v, bins) -> float:
+    """Binned MI (nats) of two windows already digitised by ``bin_indices``.
+
+    ``bins`` is the pair (bins_u, bins_v) of bin counts. Empty cells are
+    skipped. The joint and both marginals are integer counts divided by the
+    window length, so every cell's term is the same float under
+    (u, v) <-> (v, u), and the sorted sum makes the result symmetric bit for bit.
+    """
+    if codes_u.size != codes_v.size:
+        raise DetectionError(f"window length mismatch: {codes_u.size} vs {codes_v.size}")
+    nu, nv = bins
+    n = codes_u.size
+    if n < nu * nv / 10:
+        warnings.warn(
+            f"{n} samples for {nu * nv} histogram cells; MI estimate is unreliable",
+            UnreliableEstimateWarning,
+        )
+    counts = np.bincount(codes_u * nv + codes_v, minlength=nu * nv).reshape(nu, nv)
+    nz = counts > 0
+    joint = counts[nz] / n
+    outer = np.outer(counts.sum(axis=1) / n, counts.sum(axis=0) / n)
+    terms = joint * np.log(joint / outer[nz])
+    return max(float(np.sum(np.sort(terms))), 0.0)
+
+
 def mutual_information_binned(u, v, edges) -> float:
     """Binned MI (nats) of two windows over fixed per-channel bin edges.
 
     ``edges`` is a pair (edges_u, edges_v). Samples outside the reference
-    range clamp into the edge bins. Empty cells are skipped. The joint and
-    both marginals are integer counts divided by the window length, so every
-    cell's term is the same float under (u, v) <-> (v, u), and the sorted sum
-    makes the result symmetric bit for bit.
+    range clamp into the edge bins; see ``mutual_information_codes``.
     """
     a, b = _samples(u), _samples(v)
     if a.size != b.size:
         raise DetectionError(f"window length mismatch: {a.size} vs {b.size}")
     edges_u, edges_v = (np.asarray(e, dtype=float) for e in edges)
-    nu, nv = edges_u.size - 1, edges_v.size - 1
-    if a.size < nu * nv / 10:
-        warnings.warn(
-            f"{a.size} samples for {nu * nv} histogram cells; MI estimate is unreliable",
-            UnreliableEstimateWarning,
-        )
-    codes = bin_indices(a, edges_u) * nv + bin_indices(b, edges_v)
-    counts = np.bincount(codes, minlength=nu * nv).reshape(nu, nv)
-    nz = counts > 0
-    joint = counts[nz] / a.size
-    outer = np.outer(counts.sum(axis=1) / a.size, counts.sum(axis=0) / a.size)
-    terms = joint * np.log(joint / outer[nz])
-    return max(float(np.sum(np.sort(terms))), 0.0)
+    return mutual_information_codes(
+        bin_indices(a, edges_u), bin_indices(b, edges_v), (edges_u.size - 1, edges_v.size - 1)
+    )
 
 
 def default_edges(reference: np.ndarray, bins: int) -> np.ndarray:
@@ -134,9 +148,6 @@ class CorrelationModel:
     def reference(self, i: int, j: int) -> float:
         return self.omega_ref[self.pair_key(i, j)]
 
-    def pair_mi(self, window_i, window_j, i: int, j: int) -> float:
-        return mutual_information_binned(window_i, window_j, (self.edges[i], self.edges[j]))
-
 
 def train_correlation_model(fault_free_windows: dict, config: DetectionConfig, pairs=None) -> CorrelationModel:
     """Fit bin edges and reference MI from fault-free windows.
@@ -173,20 +184,35 @@ def train_correlation_model(fault_free_windows: dict, config: DetectionConfig, p
             degenerate.add(ch)
             warnings.warn(f"channel {ch} is constant in training data", DegenerateSignalWarning)
         edges[ch] = default_edges(cat, config.bins)
+    # each delivered training window is digitised once, whatever its pairs
+    codes = {
+        ch: [None if w is None else bin_indices(_samples(w), edges[ch]) for w in windows]
+        for ch, windows in fault_free_windows.items()
+        if ch in edges
+    }
     omega_ref = {}
     for (i, j) in pairs:
-        both = [uv for uv in zip(fault_free_windows[i], fault_free_windows[j]) if None not in uv]
+        rounds = zip(codes.get(i, ()), codes.get(j, ()))
+        both = [(u, v) for u, v in rounds if u is not None and v is not None]
         if len(both) < config.R:
             continue
         if i in degenerate or j in degenerate:
             omega_ref[(i, j)] = 0.0
             continue
-        vals = [mutual_information_binned(u, v, (edges[i], edges[j])) for u, v in both]
+        bins = (edges[i].size - 1, edges[j].size - 1)
+        vals = [mutual_information_codes(u, v, bins) for u, v in both]
         omega_ref[(i, j)] = float(np.mean(vals))
     return CorrelationModel(edges=edges, omega_ref=omega_ref, degenerate_channels=degenerate)
 
 
 VERDICTS = ("non_faulty", "faulty", "missing")
+
+
+def _median(values) -> float:
+    """Median of a few floats; equals ``float(np.median(values))``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
 @dataclass
@@ -229,12 +255,19 @@ def detection_round(
     is faulty outright (its neighbors cannot see it; the missing-sensor scan
     refines that verdict later). Returns node id -> NodeDecision.
     """
+    # each delivered window is digitised once over its channel's trained edges
+    codes = {
+        ch: bin_indices(_samples(w), model.edges[ch])
+        for ch, w in windows.items()
+        if w is not None and ch in model.edges
+    }
     table = {}  # pair key -> indicator
 
     def indicator(i, j):
         key = CorrelationModel.pair_key(i, j)
         if key not in table:
-            omega = model.pair_mi(windows[i], windows[j], i, j)
+            bins = (model.edges[i].size - 1, model.edges[j].size - 1)
+            omega = mutual_information_codes(codes[i], codes[j], bins)
             table[key] = fault_indicator(omega, model.reference(i, j))
         return table[key]
 
@@ -251,7 +284,7 @@ def detection_round(
             # cannot be assessed, so it keeps the initial non-faulty decision
             return NodeDecision(node, round_index, {}, 0.0, "non_faulty")
         usable = [lam for j, lam in lambdas.items() if j not in flagged] or list(lambdas.values())
-        lambda_agg = float(np.median(usable))
+        lambda_agg = _median(usable)
         verdict = "faulty" if lambda_agg > config.threshold else "non_faulty"
         return NodeDecision(node, round_index, lambdas, lambda_agg, verdict)
 

@@ -266,9 +266,10 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
     structure (``model_scope="full"``) or the sub-chain spanning the
     channels (a channel id is its structural DOF) plus ``scope_margin``,
     with each end that slices through the real structure marked as a
-    boundary cut. Returns (ref, block, make_filter): the first delivered
-    window, the (channels, T) block and ``make_filter(inflated)``, which
-    builds the filter with the channels in ``inflated`` variance-inflated.
+    boundary cut; equal sub-chains share one spec and its cached model.
+    Returns (ref, block, make_filter): the first delivered window, the
+    (channels, T) block and ``make_filter(inflated)``, which builds the
+    filter with the channels in ``inflated`` variance-inflated.
     """
     ref = next((windows[ch] for ch in channels if windows.get(ch) is not None), None)
     if ref is None:
@@ -286,12 +287,7 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
     if config.model_scope != "full":
         lo = max(0, min(channels) - config.scope_margin)
         hi = min(structure.n_dof - 1, max(channels) + config.scope_margin)
-        scope = StructureSpec(
-            masses=structure.masses[lo : hi + 1],
-            stiffnesses=structure.stiffnesses[lo : hi + 1],
-            dt=structure.dt,
-            duration=structure.dt * 2,
-        )
+        scope = structure.sub_chain(lo, hi)
 
     def make_filter(inflated) -> KalmanFilterState:
         return filter_for_structure(

@@ -61,33 +61,140 @@ def _density_window(n: int, fs: float) -> np.ndarray:
     return scaled
 
 
+def _segment_ffts(rows: np.ndarray, nperseg: int, fs: float) -> np.ndarray:
+    """FFTs of the 50%-overlap, mean-removed, Hann-windowed segments of each of ``rows``.
+
+    ``rows`` is ``(k, T)``; the result is ``(k, segments, nperseg // 2 + 1)``.
+    """
+    segs = sliding_window_view(rows, nperseg, axis=-1)[:, :: nperseg - nperseg // 2]
+    windowed = (segs - segs.mean(axis=-1, keepdims=True)) * _density_window(nperseg, fs)
+    return scipy.fft.rfft(windowed, axis=-1)
+
+
+def _one_sided_mean(per_segment: np.ndarray, nperseg: int) -> np.ndarray:
+    """Mean over the segment axis of ``(..., segments, freqs)``, interior bins doubled."""
+    # mean over a contiguous (freq, segment) array: numpy's pairwise order, as scipy's
+    avg = np.ascontiguousarray(np.swapaxes(per_segment, -1, -2)).mean(axis=-1)
+    avg[..., 1 : -1 if nperseg % 2 == 0 else None] *= 2
+    return avg
+
+
 def _segment_spectra(samples: np.ndarray, nperseg: int, fs: float, reference=None):
     """Welch PSD of ``samples`` and, given ``reference``, the CSD of the pair.
 
-    One batched FFT over the 50%-overlap, mean-removed, Hann-windowed
-    segments; the node's own segment FFTs serve both spectra. Returns
-    ``(freqs, psd, cross)`` with ``cross`` None without a reference, equal bit
-    for bit to ``scipy.signal.welch(samples, fs, nperseg=nperseg)`` and
-    ``csd(samples, reference, fs, nperseg=nperseg)``.
+    The one-pair form of an extraction pass's spectra. Returns ``(freqs, psd,
+    cross)`` with ``cross`` None without a reference, equal bit for bit to
+    ``scipy.signal.welch(samples, fs, nperseg=nperseg)`` and ``csd(samples,
+    reference, fs, nperseg=nperseg)``.
     """
     if reference is not None and reference.size != samples.size:
         raise ModalError("reference window length differs from the node's")
-    win = _density_window(nperseg, fs)
-
-    def segment_fft(x):
-        segs = sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
-        return scipy.fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * win, axis=1)
-
-    def one_sided_mean(per_segment):
-        # mean over a contiguous (freq, segment) array: numpy's pairwise order, as scipy's
-        avg = np.ascontiguousarray(per_segment.T).mean(axis=-1)
-        avg[1 : -1 if nperseg % 2 == 0 else None] *= 2
-        return avg
-
-    own = segment_fft(samples)
-    psd = one_sided_mean(own.real**2 + own.imag**2)
-    cross = None if reference is None else one_sided_mean(segment_fft(reference) * np.conj(own))
+    rows = np.stack([samples] if reference is None else [samples, reference])
+    ffts = _segment_ffts(rows, nperseg, fs)
+    psd = _one_sided_mean(ffts[0].real**2 + ffts[0].imag**2, nperseg)
+    cross = None if reference is None else _one_sided_mean(ffts[1] * np.conj(ffts[0]), nperseg)
     return scipy.fft.rfftfreq(nperseg, 1 / fs), psd, cross
+
+
+class _Spectra:
+    """Spectra of every window of one extraction pass that shares a length and a rate."""
+
+    def __init__(self, rows: list, fs: float, config: ModalConfig):
+        samples = np.stack(rows)
+        self.nperseg = min(config.segment_length, samples.shape[1])
+        self.flat = is_flat(samples)
+        self.ffts = _segment_ffts(samples, self.nperseg, fs)
+        self.psd = _one_sided_mean(self.ffts.real**2 + self.ffts.imag**2, self.nperseg)
+        self.freqs = scipy.fft.rfftfreq(self.nperseg, 1 / fs)
+        in_band = (self.freqs >= config.band[0]) & (self.freqs <= config.band[1])
+        self.band_idx = np.flatnonzero(in_band)
+        if self.band_idx.size:
+            band_psd = self.psd[:, self.band_idx]
+            self.floors = np.median(band_psd, axis=1)
+            self.orders = self.band_idx[np.argsort(band_psd, axis=1)[:, ::-1]]
+
+    def cross(self, node: int, reference: int) -> np.ndarray:
+        """CSD of row ``node`` against row ``reference``."""
+        return _one_sided_mean(self.ffts[reference] * np.conj(self.ffts[node]), self.nperseg)
+
+
+def extract_round_modes(pairs, config: ModalConfig) -> list:
+    """Local modes of every ``(window, reference)`` pair of one extraction pass.
+
+    Each distinct window, as a node or as a reference, is one row of a
+    ``(k, T)`` stack per window length and sampling rate. One strided FFT of
+    all of a stack's segments gives every row's PSD, a node's CSD reads its
+    reference's row, and the flatness tests and noise floors run once per
+    stack. Each pair's estimate is ``extract_local_modes(window, config,
+    reference)``, bit for bit.
+    """
+    stacks = {}  # (length, fs) -> sample rows
+    slots = {}  # (id(window), fs) -> (stack key, row); fs is the node's, whose window scales both
+
+    def slot(window, fs):
+        if (id(window), fs) not in slots:
+            samples = np.asarray(window.samples, dtype=float)
+            stack = stacks.setdefault((samples.size, fs), [])
+            slots[id(window), fs] = (samples.size, fs), len(stack)
+            stack.append(samples)
+        return slots[id(window), fs]
+
+    plan = []
+    for window, reference in pairs:
+        if window is None:
+            raise ModalError("extract_local_modes needs a delivered window")
+        fs = 1.0 / window.dt
+        own = reference is None or reference.sensor_id == window.sensor_id
+        plan.append((window, reference, slot(window, fs), None if own else slot(reference, fs)))
+    spectra = {key: _Spectra(samples, key[1], config) for key, samples in stacks.items()}
+    estimates = []
+    for window, reference, (key, i), ref_row in plan:
+        group = spectra[key]
+        # a flat reference's cross-spectrum phase is noise: the node is its own reference
+        signed = ref_row is not None and not spectra[ref_row[0]].flat[ref_row[1]]
+        empty = LocalModeEstimate(
+            sensor_id=window.sensor_id,
+            round_index=window.round_index,
+            frequencies=np.empty(0),
+            amplitudes=np.empty(0),
+            reference_id=reference.sensor_id if signed else window.sensor_id,
+        )
+        estimates.append(empty)
+        # flat signals (stuck sensors) have no spectral peaks at all
+        if group.flat[i]:
+            continue
+        if signed and ref_row[0] != key:
+            raise ModalError("reference window length differs from the node's")
+        if not group.band_idx.size:
+            raise ModalError("analysis band is empty at this resolution")
+        sel = _pick_peaks(group.psd[i], group.orders[i], float(group.floors[i]), config)
+        if sel.size:
+            signs = np.ones(sel.size)
+            if signed:
+                signs = np.where(np.real(group.cross(i, ref_row[1])[sel]) >= 0.0, 1.0, -1.0)
+            amplitudes = signs * np.sqrt(group.psd[i, sel])
+            estimates[-1] = replace(empty, frequencies=group.freqs[sel], amplitudes=amplitudes)
+    return estimates
+
+
+def _pick_peaks(psd: np.ndarray, order: np.ndarray, floor: float, config: ModalConfig):
+    """Greedy peak picking over in-band bins ``order``ed strongest first.
+
+    Peaks are at least 2 bins apart and above ``peak_snr`` times the noise
+    floor (band-edge peaks are legitimate); returns their bins ascending,
+    none when the floor is not positive.
+    """
+    if floor <= 0.0:
+        return np.empty(0, dtype=int)
+    sel = []
+    for idx in order:
+        if psd[idx] < config.peak_snr * floor:
+            break
+        if all(abs(idx - s) >= 2 for s in sel):
+            sel.append(int(idx))
+        if len(sel) == config.max_modes:
+            break
+    return np.sort(np.asarray(sel, dtype=int))
 
 
 def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalModeEstimate:
@@ -97,52 +204,7 @@ def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalMod
     convention. Without it, when it is flat or when it is the node's own
     window, all signs are positive and the estimate is its own reference.
     """
-    if window is None:
-        raise ModalError("extract_local_modes needs a delivered window")
-    samples = np.asarray(window.samples, dtype=float)
-    fs = 1.0 / window.dt
-    own = reference is None or reference.sensor_id == window.sensor_id
-    ref_samples = None if own else np.asarray(reference.samples, dtype=float)
-    if ref_samples is not None and is_flat(ref_samples):
-        ref_samples = None  # a flat window's cross-spectrum phase is noise
-    empty = LocalModeEstimate(
-        sensor_id=window.sensor_id,
-        round_index=window.round_index,
-        frequencies=np.empty(0),
-        amplitudes=np.empty(0),
-        reference_id=window.sensor_id if ref_samples is None else reference.sensor_id,
-    )
-    # flat signals (stuck sensors) have no spectral peaks at all
-    if is_flat(samples):
-        return empty
-    nperseg = min(config.segment_length, samples.size)
-    freqs, psd, cross = _segment_spectra(samples, nperseg, fs, ref_samples)
-    in_band = (freqs >= config.band[0]) & (freqs <= config.band[1])
-    if not in_band.any():
-        raise ModalError("analysis band is empty at this resolution")
-    floor = float(np.median(psd[in_band]))
-    if floor <= 0.0:
-        return empty
-    # greedy peak picking: strongest in-band bins, at least 2 bins apart,
-    # above the noise floor (band-edge peaks are legitimate)
-    band_idx = np.where(in_band)[0]
-    order = band_idx[np.argsort(psd[band_idx])[::-1]]
-    sel = []
-    for idx in order:
-        if psd[idx] < config.peak_snr * floor:
-            break
-        if all(abs(idx - s) >= 2 for s in sel):
-            sel.append(int(idx))
-        if len(sel) == config.max_modes:
-            break
-    if not sel:
-        return empty
-    sel = np.sort(np.asarray(sel))
-    if cross is not None:
-        signs = np.where(np.real(cross[sel]) >= 0.0, 1.0, -1.0)
-    else:
-        signs = np.ones(sel.size)
-    return replace(empty, frequencies=freqs[sel], amplitudes=signs * np.sqrt(psd[sel]))
+    return extract_round_modes([(window, reference)], config)[0]
 
 
 @dataclass

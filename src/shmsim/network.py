@@ -117,33 +117,35 @@ def build_neighborhoods(topology: TopologySpec) -> CommunicationGraph:
     )
 
 
-def shortest_path_route(adjacency: dict, source: int, sink: int) -> list:
-    """Minimum-hop path from source to sink, deterministic under ties.
+def shortest_path_routes(adjacency: dict, sink: int) -> dict:
+    """Minimum-hop path to ``sink`` from every node that has one, from one search.
 
-    Hop distances are computed from the sink; the path then greedily steps to
-    the lowest-id neighbor that decreases the remaining distance, which picks
-    the lexicographically smallest minimum-hop route.
+    Hop distances come from one breadth-first search from the sink; each
+    node's path then steps to its lowest-id neighbor one hop closer, which
+    picks the lexicographically smallest minimum-hop route. Returns node ->
+    path, source first and sink last.
     """
-    if source == sink:
-        return [source]
     dist = {sink: 0}
-    frontier = [sink]
-    while frontier:
-        nxt_frontier = []
-        for node in frontier:
-            for nb in adjacency.get(node, ()):
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    nxt_frontier.append(nb)
-        frontier = nxt_frontier
-    if source not in dist:
+    order = [sink]  # breadth-first: nodes by non-decreasing distance
+    for node in order:
+        for nb in adjacency.get(node, ()):
+            if nb not in dist:
+                dist[nb] = dist[node] + 1
+                order.append(nb)
+    routes = {sink: [sink]}
+    for node in order[1:]:
+        closer = [nb for nb in adjacency.get(node, ()) if dist.get(nb, math.inf) == dist[node] - 1]
+        if closer and min(closer) in routes:
+            routes[node] = [node] + routes[min(closer)]
+    return routes
+
+
+def shortest_path_route(adjacency: dict, source: int, sink: int) -> list:
+    """Minimum-hop path from source to sink: its entry of ``shortest_path_routes``."""
+    route = shortest_path_routes(adjacency, sink).get(source)
+    if route is None:
         raise NetworkError(f"no route from {source} to {sink}")
-    path = [source]
-    cur = source
-    while cur != sink:
-        cur = min(nb for nb in adjacency[cur] if dist.get(nb, math.inf) == dist[cur] - 1)
-        path.append(cur)
-    return path
+    return route
 
 
 @dataclass

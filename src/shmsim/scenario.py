@@ -666,7 +666,7 @@ def _extract(run: _Run, d: int, windows: dict, before=None) -> list:
     ``before`` is the round's raw ``(view, estimates)``: a node whose own and
     reference windows are unchanged since then keeps its raw estimate.
     """
-    estimates = []
+    estimates, pairs = [], {}  # pairs: node -> (window, reference window) still to extract
     for ch in range(run.cfg.n_nodes):
         # the lowest-id node in hearing range fixes the cross-spectrum sign
         ref = min([ch] + run.cfg.graph.neighbors[ch])
@@ -675,7 +675,10 @@ def _extract(run: _Run, d: int, windows: dict, before=None) -> list:
         elif windows[ch] is None:
             estimates.append(mod.LocalModeEstimate(ch, d, np.empty(0), np.empty(0), ch))
         else:
-            estimates.append(mod.extract_local_modes(windows[ch], run.cfg.modal, windows[ref]))
+            estimates.append(None)
+            pairs[ch] = (windows[ch], windows[ref])
+    for ch, estimate in zip(pairs, mod.extract_round_modes(list(pairs.values()), run.cfg.modal)):
+        estimates[ch] = estimate
     return estimates
 
 
@@ -860,9 +863,10 @@ def run_scenario(config, out_dir: str) -> RunManifest:
     sim = _Simulator(cfg)
     profiles, fault_schedule = resolve_fault_profiles(cfg, sim.signal_rms)
     damage_schedule = [] if cfg.damage is None else [dict(cfg.damage)]
+    routes = net.shortest_path_routes(cfg.graph.routing, net.BS)
     bs_hops = {}
     for ch in range(cfg.n_nodes):
-        path = net.shortest_path_route(cfg.graph.routing, ch, net.BS)
+        path = routes[ch]
         bs_hops[ch] = [(a, b, cfg.topology.distance(a, b)) for a, b in zip(path[:-1], path[1:])]
     run = _Run(
         cfg=cfg,

@@ -61,9 +61,12 @@ class SensorArraySpec:
         return len(self.positions)
 
 
-def is_flat(samples: np.ndarray) -> bool:
-    """True for samples with no spread beyond rounding (a stuck or constant channel)."""
-    return float(np.std(samples)) <= 1e-12 * max(1.0, float(np.max(np.abs(samples))))
+def is_flat(samples: np.ndarray):
+    """True for samples with no spread beyond rounding (a stuck or constant channel).
+
+    A 2-D ``samples`` gets one verdict per row.
+    """
+    return np.std(samples, axis=-1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(samples), axis=-1))
 
 
 @dataclass(frozen=True)

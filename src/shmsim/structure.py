@@ -36,8 +36,8 @@ def _as_positive_vector(values, name: str) -> np.ndarray:
 class StructureSpec:
     """Masses (kg), story stiffnesses (N/m), sampling step dt (s) and duration (s).
 
-    The spec is frozen, so its one eigen-solve runs once per instance and is
-    cached on it as read-only arrays.
+    The spec is frozen, so its one eigen-solve and its discrete state-space
+    model run once per instance and are cached on it as read-only arrays.
     """
 
     masses: np.ndarray
@@ -81,6 +81,35 @@ class StructureSpec:
     def eigenvalues(self) -> np.ndarray:
         """Generalized eigenvalues of (K, M) in rad^2/s^2, ascending."""
         return self._basis.eigenvalues
+
+    def sub_chain(self, lo: int, hi: int) -> StructureSpec:
+        """Stories ``lo..hi`` as a chain of their own, with the same dt.
+
+        Slices with equal masses and stiffnesses share one spec, and with it
+        one eigen-solve and one state-space model.
+        """
+        masses, stiffnesses = self.masses[lo : hi + 1], self.stiffnesses[lo : hi + 1]
+        key = (masses.tobytes(), stiffnesses.tobytes())
+        if key not in self._sub_chains:
+            self._sub_chains[key] = StructureSpec(masses, stiffnesses, self.dt, self.dt * 2)
+        return self._sub_chains[key]
+
+    @functools.cached_property
+    def _sub_chains(self) -> dict:
+        return {}
+
+    @functools.cached_property
+    def _state_space(self) -> tuple:
+        n = self.n_dof
+        aug = np.zeros((3 * n, 3 * n))  # [[A, B], [0, 0]]: its exponential holds both matrices
+        aug[:n, n : 2 * n] = np.eye(n)
+        aug[n : 2 * n, :n] = -(self.stiffness_matrix() / self.masses[:, None])
+        aug[n : 2 * n, 2 * n :] = np.diag(1.0 / self.masses)
+        exp_aug = expm(aug * self.dt)
+        a_mat, b_mat = exp_aug[: 2 * n, : 2 * n], exp_aug[: 2 * n, 2 * n :]
+        for arr in (a_mat, b_mat):
+            arr.setflags(write=False)
+        return a_mat, b_mat
 
     @functools.cached_property
     def _basis(self) -> ModalBasis:
@@ -334,12 +363,7 @@ def discrete_state_space(spec: StructureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discrete transition/input matrices for the state [x; v].
 
     Continuous dynamics: d/dt [x; v] = A [x; v] + B f with
-    A = [[0, I], [-M^-1 K, 0]], B = [[0], [M^-1]].
+    A = [[0, I], [-M^-1 K, 0]], B = [[0], [M^-1]]. Solved once per spec
+    instance and shared: the arrays are read-only.
     """
-    n = spec.n_dof
-    aug = np.zeros((3 * n, 3 * n))  # [[A, B], [0, 0]]: its exponential holds both matrices
-    aug[:n, n : 2 * n] = np.eye(n)
-    aug[n : 2 * n, :n] = -(spec.stiffness_matrix() / spec.masses[:, None])
-    aug[n : 2 * n, 2 * n :] = np.diag(1.0 / spec.masses)
-    exp_aug = expm(aug * spec.dt)
-    return exp_aug[: 2 * n, : 2 * n], exp_aug[: 2 * n, 2 * n :]
+    return spec._state_space

@@ -18,6 +18,7 @@ from shmsim.detection import (
     detection_round,
     fault_indicator,
     mutual_information_binned,
+    mutual_information_codes,
     train_correlation_model,
 )
 from shmsim.kalman import kl_divergence
@@ -126,7 +127,8 @@ class TestMutualInformation:
         make_round, model, config, _ = bench
         windows, _ = make_round(500)
         for (i, j) in [(0, 1), (3, 5), (7, 9)]:
-            assert model.pair_mi(windows[i], windows[j], i, j) >= 0.0
+            edges = (model.edges[i], model.edges[j])
+            assert mutual_information_binned(windows[i], windows[j], edges) >= 0.0
 
     def test_undersampled_estimate_warns(self):
         rng = np.random.default_rng(12)
@@ -187,6 +189,52 @@ class TestBinnedSymmetry:
         occupied = (p > 0) | (q > 0)
         p, q = (np.maximum(c[occupied] / u.size, 1e-12) for c in (p, q))
         assert kl_divergence(u, v, edges_u) == 0.5 * np.sum((p - q) * (np.log2(p) - np.log2(q)))
+
+
+class TestBinCodes:
+    """MI from bin codes computed once per window is the binned MI of the windows."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(pair=binned_windows())
+    def test_codes_mi_equals_binned_mi(self, pair):
+        (u, edges_u), (v, edges_v) = pair
+        codes = bin_indices(u, edges_u), bin_indices(v, edges_v)
+        bins = (edges_u.size - 1, edges_v.size - 1)
+        assert mutual_information_codes(*codes, bins) == mutual_information_binned(
+            u, v, (edges_u, edges_v)
+        )
+
+    def test_round_indicators_equal_binned_mi(self, bench):
+        """Every pair indicator of a detection round is the binned MI's indicator."""
+        make_round, model, config, rms = bench
+        windows, _ = make_round(3400)
+        windows[6] = SignalWindow(
+            sensor_id=6, start_time=0.0, dt=0.02,
+            samples=windows[6].samples + 4 * rms[6], round_index=0,
+        )
+        decisions = detection_round(windows, _neighbor_map(), model, config)
+        checked = 0
+        for i, decision in decisions.items():
+            for j, lam in decision.lambdas.items():
+                edges = (model.edges[i], model.edges[j])
+                omega = mutual_information_binned(windows[i], windows[j], edges)
+                assert lam == fault_indicator(omega, model.reference(i, j))
+                checked += 1
+        assert checked >= 30
+
+    def test_training_reference_is_the_mean_binned_mi(self, bench):
+        make_round, model, config, _ = bench
+        rounds = [make_round(d)[0] for d in range(6)]
+        for (i, j), omega_ref in model.omega_ref.items():
+            edges = (model.edges[i], model.edges[j])
+            vals = [mutual_information_binned(r[i], r[j], edges) for r in rounds]
+            assert omega_ref == float(np.mean(vals))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(values=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8))
+def test_decision_median_equals_numpy_median(values):
+    assert detection._median(values) == float(np.median(values))
 
 
 class TestFaultIndicator:
@@ -384,13 +432,22 @@ class TestDecideFaulty:
             for j in neighbor_map[i]
             if windows[i] is not None and windows[j] is not None
         }
+        codes = {
+            ch: bin_indices(w.samples, model.edges[ch]) for ch, w in windows.items() if w is not None
+        }
+
+        def channel(c):
+            (ch,) = [ch for ch, own in codes.items() if np.array_equal(c, own)]
+            return ch
+
         calls = []
+        mi_codes = detection.mutual_information_codes
 
-        def counting(u, v, edges):
-            calls.append((u.sensor_id, v.sensor_id))
-            return mutual_information_binned(u, v, edges)
+        def counting(codes_u, codes_v, bins):
+            calls.append((channel(codes_u), channel(codes_v)))
+            return mi_codes(codes_u, codes_v, bins)
 
-        monkeypatch.setattr(detection, "mutual_information_binned", counting)
+        monkeypatch.setattr(detection, "mutual_information_codes", counting)
         decisions = detection_round(windows, neighbor_map, model, config)
         assert decisions[5].verdict == "faulty"
         assert len(calls) <= len(delivered)
@@ -417,7 +474,8 @@ class TestDecideFaulty:
                     sensor_id=5, start_time=0.0, dt=0.02,
                     samples=windows[5].samples + factor * rms[5], round_index=tag,
                 )
-                omega = model.pair_mi(shifted, windows[4], 5, 4)
+                edges = (model.edges[5], model.edges[4])
+                omega = mutual_information_binned(shifted, windows[4], edges)
                 lams.append(fault_indicator(omega, model.reference(4, 5)))
             medians.append(float(np.median(lams)))
         assert all(b >= a for a, b in zip(medians, medians[1:])), medians

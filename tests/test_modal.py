@@ -1,9 +1,13 @@
 """Mode extraction, assembly, curvature and damage diagnosis tests."""
 
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import csd, get_window, welch
 
 from conftest import (
@@ -25,6 +29,7 @@ from shmsim.modal import (
     curvature,
     diagnose,
     extract_local_modes,
+    extract_round_modes,
     modal_assurance,
     normalize_mode,
 )
@@ -149,6 +154,115 @@ class TestSegmentSpectra:
         reference = _window(rng.standard_normal(549), sensor_id=1)
         with pytest.raises(ModalError):
             extract_local_modes(window, ModalConfig(segment_length=100), reference)
+
+
+@st.composite
+def extraction_passes(draw):
+    """One extraction pass: ``(window, reference)`` pairs and the modal config.
+
+    Windows come in one or two lengths, some stuck; a reference is missing,
+    the window itself or another window of the same length (stuck ones
+    included), and the segment may be longer than the window.
+    """
+    lengths = draw(st.lists(st.integers(4, 64), min_size=1, max_size=2, unique=True))
+    dt = draw(st.sampled_from([0.02, 0.01]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    windows = []
+    for sensor_id in range(draw(st.integers(1, 7))):
+        n = draw(st.sampled_from(lengths))
+        if draw(st.integers(0, 3)) == 0:
+            samples = np.full(n, draw(st.floats(-5.0, 5.0)))
+        else:
+            t = np.arange(n) * dt
+            tone = rng.uniform(0.0, 5.0) * np.sin(2 * np.pi * rng.uniform(0.5, 20.0) * t)
+            samples = tone + rng.uniform(0.1, 3.0) * rng.standard_normal(n) + rng.uniform(-2, 2)
+        windows.append(SignalWindow(sensor_id, 0.0, dt, samples, draw(st.integers(0, 3))))
+    pairs = []
+    for w in windows:
+        same_length = [None] + [r for r in windows if r.length == w.length]
+        pairs.append((w, draw(st.sampled_from(same_length))))
+    config = ModalConfig(
+        segment_length=draw(st.integers(2, 48)),
+        band=(draw(st.sampled_from([0.0, 2.0])), draw(st.sampled_from([math.inf, 15.0]))),
+        peak_snr=draw(st.floats(1.0, 4.0)),
+        max_modes=draw(st.integers(1, 3)),
+    )
+    return pairs, config
+
+
+def _scipy_extraction(window, config, reference=None):
+    """One node's modes the way they were found one node at a time, from scipy's welch/csd."""
+    samples = np.asarray(window.samples, dtype=float)
+    own = reference is None or reference.sensor_id == window.sensor_id
+    ref = None if own else np.asarray(reference.samples, dtype=float)
+    if ref is not None and np.std(ref) <= 1e-12 * max(1.0, np.max(np.abs(ref))):
+        ref = None
+    out = LocalModeEstimate(window.sensor_id, window.round_index, np.empty(0), np.empty(0),
+                            window.sensor_id if ref is None else reference.sensor_id)
+    if np.std(samples) <= 1e-12 * max(1.0, np.max(np.abs(samples))):
+        return out
+    if ref is not None and ref.size != samples.size:
+        raise ModalError("reference window length differs from the node's")
+    nperseg = min(config.segment_length, samples.size)
+    freqs, psd = welch(samples, fs=1.0 / window.dt, nperseg=nperseg)
+    in_band = (freqs >= config.band[0]) & (freqs <= config.band[1])
+    if not in_band.any():
+        raise ModalError("analysis band is empty at this resolution")
+    floor = float(np.median(psd[in_band]))
+    if floor <= 0.0:
+        return out
+    band_idx = np.where(in_band)[0]
+    sel = []
+    for idx in band_idx[np.argsort(psd[band_idx])[::-1]]:
+        if psd[idx] < config.peak_snr * floor:
+            break
+        if all(abs(idx - s) >= 2 for s in sel):
+            sel.append(int(idx))
+        if len(sel) == config.max_modes:
+            break
+    if not sel:
+        return out
+    sel = np.sort(np.asarray(sel))
+    signs = np.ones(sel.size)
+    if ref is not None:
+        cross = csd(samples, ref, fs=1.0 / window.dt, nperseg=nperseg)[1]
+        signs = np.where(np.real(cross[sel]) >= 0.0, 1.0, -1.0)
+    return replace(out, frequencies=freqs[sel], amplitudes=signs * np.sqrt(psd[sel]))
+
+
+class TestRoundExtraction:
+    """One pass's batched extraction is each node's own extraction, bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(case=extraction_passes())
+    def test_equals_per_node_extraction(self, case):
+        pairs, config = case
+        try:
+            alone = [extract_local_modes(w, config, ref) for w, ref in pairs]
+        except ModalError:  # an empty analysis band fails the pass as it fails a node
+            with pytest.raises(ModalError):
+                extract_round_modes(pairs, config)
+            return
+        together = extract_round_modes(pairs, config)
+        reference = [_scipy_extraction(w, config, ref) for w, ref in pairs]
+        assert len(together) == len(alone) == len(reference)
+        for a, b, c in zip(together, alone, reference):
+            for other in (b, c):
+                assert (a.sensor_id, a.round_index, a.reference_id) == (
+                    other.sensor_id, other.round_index, other.reference_id
+                )
+                for x, y in ((a.frequencies, other.frequencies), (a.amplitudes, other.amplitudes)):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_reference_of_another_length_fails_the_pass(self):
+        rng = np.random.default_rng(4)
+        short = _window(rng.standard_normal(500), sensor_id=1)
+        pairs = [(_window(rng.standard_normal(550)), short), (short, None)]
+        with pytest.raises(ModalError):
+            extract_round_modes(pairs, ModalConfig(segment_length=100))
+
+    def test_empty_pass(self):
+        assert extract_round_modes([], ModalConfig()) == []
 
 
 class TestAssembly:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import field_config
 from shmsim.network import (
     BS,
     EnergyLedger,
@@ -15,7 +16,9 @@ from shmsim.network import (
     charge_round,
     line_positions,
     shortest_path_route,
+    shortest_path_routes,
 )
+from shmsim.scenario import validate_config
 
 
 def vertical_chain(n=10, spacing=0.3, r_min=0.35, r_max=5.0):
@@ -112,6 +115,42 @@ class TestRouting:
         adjacency = {0: [1], 1: [0], 2: []}
         with pytest.raises(NetworkError):
             shortest_path_route(adjacency, 0, 2)
+
+
+def _route_by_own_search(adjacency, source, sink):
+    """Minimum-hop path with the lowest-id tie-break, from a search of its own."""
+    dist, frontier = {sink: 0}, [sink]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in adjacency.get(node, ()):
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    path = [source]
+    while path[-1] != sink:
+        cur = path[-1]
+        path.append(min(nb for nb in adjacency[cur] if dist.get(nb, -2) == dist[cur] - 1))
+    return path
+
+
+class TestRoutesFromOneSearch:
+    def test_field100_routes_equal_per_source_searches(self):
+        graph = validate_config(field_config(1, 0.2))[0].graph
+        routes = shortest_path_routes(graph.routing, BS)
+        assert sorted(routes) == [BS] + list(range(100))
+        hops = set()
+        for node in range(100):
+            assert routes[node] == _route_by_own_search(graph.routing, node, BS)
+            assert routes[node] == shortest_path_route(graph.routing, node, BS)
+            hops.add(len(routes[node]))
+        assert len(hops) > 2  # multi-hop routes of several lengths
+
+    def test_ties_and_unreachable_nodes(self):
+        adjacency = {0: [1, 2], 1: [0, 3], 2: [0, 3], 3: [1, 2], 4: [5], 5: [4]}
+        routes = shortest_path_routes(adjacency, 3)
+        assert routes == {3: [3], 1: [1, 3], 2: [2, 3], 0: [0, 1, 3]}
 
 
 class TestEnergyLedger:

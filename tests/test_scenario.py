@@ -430,13 +430,13 @@ class TestModes:
     def test_frequency_matching_reads_the_raw_estimates(self, tmp_path, monkeypatch):
         """NFMC verdicts reuse the raw-stage local modes instead of extracting them again."""
         calls = []
-        extract = modal.extract_local_modes
+        extract = modal.extract_round_modes
 
-        def counting(window, *args, **kwargs):
-            calls.append(window.sensor_id)
-            return extract(window, *args, **kwargs)
+        def counting(pairs, config):
+            calls.extend(window.sensor_id for window, _ in pairs)
+            return extract(pairs, config)
 
-        monkeypatch.setattr(modal, "extract_local_modes", counting)
+        monkeypatch.setattr(modal, "extract_round_modes", counting)
         cfg = fast_config(mode="frequency_matching_baseline")
         run_scenario(cfg, str(tmp_path / "fm"))
         config, _ = validate_config(cfg)
@@ -446,13 +446,13 @@ class TestModes:
     def test_final_pass_extracts_only_replaced_windows(self, tmp_path, monkeypatch):
         """A node is extracted again only when its window or its reference's was replaced."""
         calls = []
-        extract = modal.extract_local_modes
+        extract = modal.extract_round_modes
 
-        def counting(window, *args, **kwargs):
-            calls.append((window.round_index, window.sensor_id))
-            return extract(window, *args, **kwargs)
+        def counting(pairs, config):
+            calls.extend((window.round_index, window.sensor_id) for window, _ in pairs)
+            return extract(pairs, config)
 
-        monkeypatch.setattr(modal, "extract_local_modes", counting)
+        monkeypatch.setattr(modal, "extract_round_modes", counting)
         cfg = fast_config()
         run_scenario(cfg, str(tmp_path / "run"))
         config, _ = validate_config(cfg)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 
 from shmsim import structure
 from shmsim.structure import (
@@ -14,6 +14,7 @@ from shmsim.structure import (
     StructureSpec,
     _zoh_march,
     apply_damage,
+    discrete_state_space,
     eigen_modes,
     free_vibration,
     mechanical_energy,
@@ -101,6 +102,47 @@ class TestEigenCache:
         for arr in (basis.frequencies, basis.mode_shapes, basis.eigenvalues, spec.eigenvalues()):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
+
+
+class TestSubChain:
+    """Equal slices of a chain share one spec, and with it one eigen-solve and one expm."""
+
+    def test_equal_slices_share_one_spec(self):
+        spec = uniform_chain(12, 1000.0, 1.769e6, 0.02, 1.0)
+        first = spec.sub_chain(0, 4)
+        assert spec.sub_chain(6, 10) is first
+        assert spec.sub_chain(0, 5) is not first
+        damaged = apply_damage(spec, DamageSpec(location=7, severity=0.3))
+        assert damaged.sub_chain(0, 4) is not first
+        assert damaged.sub_chain(6, 10) is not damaged.sub_chain(0, 4)
+        assert np.array_equal(damaged.sub_chain(6, 10).stiffnesses, damaged.stiffnesses[6:11])
+
+    def test_one_state_space_per_distinct_slice(self, monkeypatch):
+        calls = []
+
+        def counting_expm(*args):
+            calls.append(args)
+            return expm(*args)
+
+        monkeypatch.setattr(structure, "expm", counting_expm)
+        spec = uniform_chain(12, 1000.0, 1.769e6, 0.02, 1.0)
+        for lo in range(8):
+            discrete_state_space(spec.sub_chain(lo, lo + 3))
+        discrete_state_space(spec.sub_chain(0, 2))
+        assert len(calls) == 2
+
+    def test_cached_state_space_equals_a_fresh_spec_and_is_read_only(self):
+        masses = np.array([900.0, 1000.0, 1100.0, 1000.0, 950.0, 1050.0, 1000.0])
+        stiffnesses = np.array([1.8e6, 1.7e6, 1.75e6, 1.6e6, 1.9e6, 1.7e6, 1.65e6])
+        spec = StructureSpec(masses, stiffnesses, 0.02, 10.0)
+        sub = spec.sub_chain(2, 5)
+        fresh = StructureSpec(masses[2:6].copy(), stiffnesses[2:6].copy(), 0.02, 0.04)
+        cached = discrete_state_space(sub)
+        assert discrete_state_space(sub)[0] is cached[0]
+        for a, b in zip(cached, discrete_state_space(fresh)):
+            assert np.array_equal(a, b)
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
 
 
 class TestSpecValidation:

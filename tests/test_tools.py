@@ -1,13 +1,24 @@
-"""tools/artifact_drift.py: byte equality per file and per-field numeric drift."""
+"""tools/: artifact_drift.py (byte equality per file and per-field numeric drift) and
+bench_pairs.py (alternating benchmark pairs and their ratios)."""
 
 import importlib.util
 import json
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("artifact_drift", ROOT / "tools" / "artifact_drift.py")
-artifact_drift = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(artifact_drift)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+artifact_drift = _load("artifact_drift")
+bench_pairs = _load("bench_pairs")
 
 
 def _tree(root, lam, verdict, summary):
@@ -37,3 +48,61 @@ def test_identical_trees_exit_zero(tmp_path):
     for side in "ab":
         _tree(tmp_path / side, "0.25", "faulty", {"mean": 1.0})
     assert artifact_drift.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+
+
+def _bench_stdout(run_s, setup_s, correct=True, failed=0, prefix=""):
+    metrics = {
+        f"{prefix}run_s_p50": {"value": run_s, "unit": "s"},
+        f"{prefix}setup_s": {"value": setup_s, "unit": "s"},
+        f"{prefix}detection_accuracy": {"value": 0.97, "unit": "ratio"},
+        f"{prefix}modal.extract_local_modes.calls": {"value": 12, "unit": "count"},
+    }
+    result = {"correct": correct, "attempted": 5, "failed": failed, "metrics": metrics}
+    return f"run_s_p50 1.0 s (n=5)\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_ratios_and_medians():
+    runs = [(1.2, 0.5, 0.6, 0.5), (1.0, 0.5, 0.8, 0.6), (1.4, 0.6, 0.7, 0.6)]
+    pairs = [
+        tuple(bench_pairs.parse_result(_bench_stdout(r, s)) for r, s in ((a, b), (c, d)))
+        for a, b, c, d in runs
+    ]
+    lines, ok = bench_pairs.pair_report(2, *pairs[1])
+    assert ok
+    assert lines == [
+        "pair 2 detection_accuracy: parent 0.97 change 0.97 ratio 1.000",
+        "pair 2 run_s_p50: parent 1 change 0.8 ratio 0.800",
+        "pair 2 setup_s: parent 0.5 change 0.6 ratio 1.200",
+    ]
+    medians = bench_pairs.median_ratios(pairs)
+    assert set(medians) == {"run_s_p50", "setup_s", "detection_accuracy"}
+    assert medians["run_s_p50"] == pytest.approx(0.5)  # ratios 0.5, 0.8, 0.5
+    assert medians["setup_s"] == pytest.approx(1.0)  # ratios 1.0, 1.2, 1.0
+
+
+@pytest.mark.parametrize(
+    "stdout, problem",
+    [
+        (_bench_stdout(1.0, 0.5, correct=False), "not correct"),
+        (_bench_stdout(1.0, 0.5, failed=2), "2 failed"),
+        ("Traceback (most recent call last):\n", "no result"),
+        ("", "no result"),
+    ],
+)
+def test_bench_pairs_flags_runs_that_do_not_count(stdout, problem):
+    good = bench_pairs.parse_result(_bench_stdout(1.0, 0.5))
+    lines, ok = bench_pairs.pair_report(1, good, bench_pairs.parse_result(stdout))
+    assert not ok
+    assert lines[0] == f"pair 1 change: {problem}"
+
+
+def test_bench_pairs_keeps_workload_prefixes():
+    parent, change = (
+        bench_pairs.parse_result(_bench_stdout(r, 0.5, prefix="field100.")) for r in (1.0, 0.6)
+    )
+    assert bench_pairs.median_ratios([(parent, change)])["field100.run_s_p50"] == pytest.approx(0.6)
+
+
+def test_bench_pairs_rejects_trees_without_the_benchmark(tmp_path):
+    args = [str(tmp_path), str(tmp_path), "--workload", "field100", "--pairs", "1"]
+    assert bench_pairs.main(args) == 2
