@@ -41,6 +41,10 @@ class ReconstructionConfig:
             raise KalmanError("variance_inflation must be >= 1")
         if self.model_scope not in ("neighborhood", "full"):
             raise KalmanError("model_scope must be 'neighborhood' or 'full'")
+        if self.scope_margin < 0:
+            raise KalmanError("scope_margin must be >= 0")
+        if self.scan_report_ratio < 0:
+            raise KalmanError("scan_report_ratio must be >= 0")
 
 
 @dataclass

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .sensing import is_flat
@@ -68,7 +67,7 @@ def _segment_ffts(rows: np.ndarray, nperseg: int, fs: float) -> np.ndarray:
     """
     segs = sliding_window_view(rows, nperseg, axis=-1)[:, :: nperseg - nperseg // 2]
     windowed = (segs - segs.mean(axis=-1, keepdims=True)) * _density_window(nperseg, fs)
-    return scipy.fft.rfft(windowed, axis=-1)
+    return np.fft.rfft(windowed, axis=-1)
 
 
 def _one_sided_mean(per_segment: np.ndarray, nperseg: int) -> np.ndarray:
@@ -77,23 +76,6 @@ def _one_sided_mean(per_segment: np.ndarray, nperseg: int) -> np.ndarray:
     avg = np.ascontiguousarray(np.swapaxes(per_segment, -1, -2)).mean(axis=-1)
     avg[..., 1 : -1 if nperseg % 2 == 0 else None] *= 2
     return avg
-
-
-def _segment_spectra(samples: np.ndarray, nperseg: int, fs: float, reference=None):
-    """Welch PSD of ``samples`` and, given ``reference``, the CSD of the pair.
-
-    The one-pair form of an extraction pass's spectra. Returns ``(freqs, psd,
-    cross)`` with ``cross`` None without a reference, equal bit for bit to
-    ``scipy.signal.welch(samples, fs, nperseg=nperseg)`` and ``csd(samples,
-    reference, fs, nperseg=nperseg)``.
-    """
-    if reference is not None and reference.size != samples.size:
-        raise ModalError("reference window length differs from the node's")
-    rows = np.stack([samples] if reference is None else [samples, reference])
-    ffts = _segment_ffts(rows, nperseg, fs)
-    psd = _one_sided_mean(ffts[0].real**2 + ffts[0].imag**2, nperseg)
-    cross = None if reference is None else _one_sided_mean(ffts[1] * np.conj(ffts[0]), nperseg)
-    return scipy.fft.rfftfreq(nperseg, 1 / fs), psd, cross
 
 
 class _Spectra:
@@ -105,7 +87,7 @@ class _Spectra:
         self.flat = is_flat(samples)
         self.ffts = _segment_ffts(samples, self.nperseg, fs)
         self.psd = _one_sided_mean(self.ffts.real**2 + self.ffts.imag**2, self.nperseg)
-        self.freqs = scipy.fft.rfftfreq(self.nperseg, 1 / fs)
+        self.freqs = np.fft.rfftfreq(self.nperseg, 1 / fs)
         in_band = (self.freqs >= config.band[0]) & (self.freqs <= config.band[1])
         self.band_idx = np.flatnonzero(in_band)
         if self.band_idx.size:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh, expm
 
 
 class StructureError(ValueError):
@@ -70,9 +69,6 @@ class StructureSpec:
     def n_samples(self) -> int:
         return int(math.floor(self.duration / self.dt))
 
-    def mass_matrix(self) -> np.ndarray:
-        return np.diag(self.masses)
-
     def stiffness_matrix(self) -> np.ndarray:
         k = self.stiffnesses
         coupling = np.diag(-k[1:], 1)  # story i + 1 joins masses i and i + 1
@@ -100,23 +96,28 @@ class StructureSpec:
 
     @functools.cached_property
     def _state_space(self) -> tuple:
-        n = self.n_dof
-        aug = np.zeros((3 * n, 3 * n))  # [[A, B], [0, 0]]: its exponential holds both matrices
-        aug[:n, n : 2 * n] = np.eye(n)
-        aug[n : 2 * n, :n] = -(self.stiffness_matrix() / self.masses[:, None])
-        aug[n : 2 * n, 2 * n :] = np.diag(1.0 / self.masses)
-        exp_aug = expm(aug * self.dt)
-        a_mat, b_mat = exp_aug[: 2 * n, : 2 * n], exp_aug[: 2 * n, 2 * n :]
+        phi, omega = self._basis.mode_shapes, np.sqrt(self._basis.eigenvalues)
+        cos, sin = np.cos(omega * self.dt), np.sin(omega * self.dt)
+        # the closed form of discrete_state_space, with (1 - c)/w^2 as 2 (sin(w dt/2)/w)^2,
+        # which cancels nothing at small w dt
+        factors = (cos, sin / omega, -omega * sin, 2.0 * (np.sin(omega * self.dt / 2) / omega) ** 2)
+        c_map, s_map, w_map, u_map = ((phi * d) @ phi.T for d in factors)  # Phi diag(d) Phi^T
+        m = self.masses  # Phi^-1 = Phi^T M
+        a_mat = np.block([[c_map * m, s_map * m], [w_map * m, c_map * m]])
+        b_mat = np.vstack([u_map, s_map])
         for arr in (a_mat, b_mat):
             arr.setflags(write=False)
         return a_mat, b_mat
 
     @functools.cached_property
     def _basis(self) -> ModalBasis:
+        # M is diagonal, so K phi = delta M phi is M^-1/2 K M^-1/2 u = delta u with phi = M^-1/2 u
+        scale = 1.0 / np.sqrt(self.masses)
         try:
-            vals, vecs = eigh(self.stiffness_matrix(), self.mass_matrix())  # vals ascending
+            vals, vecs = np.linalg.eigh(scale[:, None] * self.stiffness_matrix() * scale)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise StructureError(f"eigen-solve failed for spec {self!r}: {exc}") from exc
+        vecs = scale[:, None] * vecs  # vals ascending
         if np.any(vals <= 0.0):
             raise StructureError(f"non-positive eigenvalue encountered for spec {self!r}")
         # sign convention: largest-magnitude entry of each mode is positive
@@ -363,7 +364,11 @@ def discrete_state_space(spec: StructureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discrete transition/input matrices for the state [x; v].
 
     Continuous dynamics: d/dt [x; v] = A [x; v] + B f with
-    A = [[0, I], [-M^-1 K, 0]], B = [[0], [M^-1]]. Solved once per spec
-    instance and shared: the arrays are read-only.
+    A = [[0, I], [-M^-1 K, 0]], B = [[0], [M^-1]]. The chain is undamped, so
+    the pair has a closed form per mode: with ``c = cos(w dt)`` and
+    ``s = sin(w dt)``, Ad = Phi [[c, s/w], [-w s, c]] Phi^-1 and
+    Bd = Phi [[(1 - c)/w^2], [s/w]] Phi^T, where ``Phi^-1 = Phi^T M`` for the
+    mass-normalized modes. Built once per spec instance and shared: the
+    arrays are read-only.
     """
     return spec._state_space

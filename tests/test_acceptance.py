@@ -66,7 +66,7 @@ def test_criterion_2_eigen_and_integration():
     for n_dof in (2, 4, 10):
         spec = uniform_chain(n_dof, 1.3, 700.0, 0.005, 1.0)
         b = eigen_modes(spec)
-        gram = b.mode_shapes.T @ spec.mass_matrix() @ b.mode_shapes
+        gram = b.mode_shapes.T @ np.diag(spec.masses) @ b.mode_shapes
         gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(n_dof)))))
     assert gram_err < 1e-9
 

@@ -394,6 +394,21 @@ class TestSteadyState:
         assert np.max(np.abs(p - reference)) <= 1e-9 * np.max(np.abs(reference))
 
 
+class TestReconstructionConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("variance_inflation", 0.5),
+            ("model_scope", "global"),
+            ("scope_margin", -1),
+            ("scan_report_ratio", -0.1),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(KalmanError, match=field):
+            ReconstructionConfig(**{field: value})
+
+
 class TestReconstruction:
     def test_empty_faulty_set_is_noop(self, chain_round):
         spec, clean, rms, windows, noise_var = chain_round

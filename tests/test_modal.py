@@ -24,7 +24,7 @@ from shmsim.modal import (
     ModalConfig,
     ModalError,
     _density_window,
-    _segment_spectra,
+    _Spectra,
     assemble_global,
     curvature,
     diagnose,
@@ -120,7 +120,7 @@ class TestExtraction:
 
 
 class TestSegmentSpectra:
-    """The batched segment FFT is scipy's welch/csd, bit for bit."""
+    """The batched segment FFT that runs use is scipy's welch/csd, bit for bit."""
 
     @pytest.mark.parametrize("dt", [0.02, 0.01, 0.003])
     @pytest.mark.parametrize(
@@ -130,16 +130,18 @@ class TestSegmentSpectra:
     def test_equals_scipy(self, size, segment_length, dt):
         rng = np.random.default_rng(size + segment_length)
         nperseg = min(segment_length, size)
+        config = ModalConfig(segment_length=segment_length)
         for _ in range(10):
             samples = rng.uniform(0.01, 100.0) * rng.standard_normal(size) + rng.uniform(-5, 5)
             reference = 0.5 * samples + rng.standard_normal(size)
-            freqs, psd, cross = _segment_spectra(samples, nperseg, 1.0 / dt, reference)
+            spectra = _Spectra([samples, reference], 1.0 / dt, config)
             scipy_freqs, scipy_psd = welch(samples, fs=1.0 / dt, nperseg=nperseg)
+            _, scipy_reference_psd = welch(reference, fs=1.0 / dt, nperseg=nperseg)
             _, scipy_cross = csd(samples, reference, fs=1.0 / dt, nperseg=nperseg)
-            assert np.array_equal(freqs, scipy_freqs)
-            assert np.array_equal(psd, scipy_psd)
-            assert np.array_equal(cross, scipy_cross)
-            assert _segment_spectra(samples, nperseg, 1.0 / dt)[2] is None
+            assert np.array_equal(spectra.freqs, scipy_freqs)
+            assert np.array_equal(spectra.psd[0], scipy_psd)
+            assert np.array_equal(spectra.psd[1], scipy_reference_psd)
+            assert np.array_equal(spectra.cross(0, 1), scipy_cross)
 
     @pytest.mark.parametrize("dt", [0.02, 0.003])
     @pytest.mark.parametrize("n", [1, 7, 100, 101, 256])

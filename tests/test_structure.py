@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from shmsim import structure
 from shmsim.structure import (
     DamageSpec,
     ExcitationSpec,
@@ -42,7 +41,7 @@ class TestEigenModes:
     def test_mass_normalization(self, n_dof):
         spec = uniform_chain(n_dof, 2.5, 900.0, 0.01, 1.0)
         basis = eigen_modes(spec)
-        gram = basis.mode_shapes.T @ spec.mass_matrix() @ basis.mode_shapes
+        gram = basis.mode_shapes.T @ np.diag(spec.masses) @ basis.mode_shapes
         assert np.max(np.abs(gram - np.eye(n_dof))) < 1e-9
 
     def test_stiffness_diagonalization(self):
@@ -67,19 +66,19 @@ class TestEigenCache:
 
     def test_cached_values_equal_a_fresh_solve(self):
         spec = uniform_chain(7, 2.0, 800.0, 0.01, 1.0)
-        vals = eigh(spec.stiffness_matrix(), spec.mass_matrix())[0]
+        vals = eigh(spec.stiffness_matrix(), np.diag(spec.masses))[0]
         assert np.array_equal(spec.eigenvalues(), vals)
         assert np.array_equal(eigen_modes(spec).eigenvalues, vals)
 
     def test_one_eigen_solve_per_spec(self, monkeypatch):
         """Validation, ``eigenvalues()`` and ``eigen_modes()`` share one ``eigh`` call."""
-        calls = []
+        calls, solve = [], np.linalg.eigh
 
         def counting_eigh(*args, **kwargs):
             calls.append(kwargs)
-            return eigh(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(structure, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         spec = uniform_chain(6, 1.0, 500.0, 0.01, 1.0)
         spec.eigenvalues()
         eigen_modes(spec)
@@ -105,7 +104,7 @@ class TestEigenCache:
 
 
 class TestSubChain:
-    """Equal slices of a chain share one spec, and with it one eigen-solve and one expm."""
+    """Equal slices of a chain share one spec, and with it one eigen-solve and one state space."""
 
     def test_equal_slices_share_one_spec(self):
         spec = uniform_chain(12, 1000.0, 1.769e6, 0.02, 1.0)
@@ -117,19 +116,11 @@ class TestSubChain:
         assert damaged.sub_chain(6, 10) is not damaged.sub_chain(0, 4)
         assert np.array_equal(damaged.sub_chain(6, 10).stiffnesses, damaged.stiffnesses[6:11])
 
-    def test_one_state_space_per_distinct_slice(self, monkeypatch):
-        calls = []
-
-        def counting_expm(*args):
-            calls.append(args)
-            return expm(*args)
-
-        monkeypatch.setattr(structure, "expm", counting_expm)
+    def test_one_state_space_per_distinct_slice(self):
         spec = uniform_chain(12, 1000.0, 1.769e6, 0.02, 1.0)
-        for lo in range(8):
-            discrete_state_space(spec.sub_chain(lo, lo + 3))
-        discrete_state_space(spec.sub_chain(0, 2))
-        assert len(calls) == 2
+        transitions = {id(discrete_state_space(spec.sub_chain(lo, lo + 3))[0]) for lo in range(8)}
+        assert len(transitions) == 1
+        assert id(discrete_state_space(spec.sub_chain(0, 2))[0]) not in transitions
 
     def test_cached_state_space_equals_a_fresh_spec_and_is_read_only(self):
         masses = np.array([900.0, 1000.0, 1100.0, 1000.0, 950.0, 1050.0, 1000.0])
@@ -143,6 +134,38 @@ class TestSubChain:
             assert np.array_equal(a, b)
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
+
+
+def _random_chain(n_dof, nyquist_fraction):
+    """A chain of random non-uniform stories, sampled at a fraction of its Nyquist bound."""
+    rng = np.random.default_rng(n_dof)
+    masses, stiffnesses = rng.uniform(500.0, 2000.0, n_dof), rng.uniform(5e5, 3e6, n_dof)
+    probe = StructureSpec(masses, stiffnesses, 1e-9, 1.0)
+    f_max = math.sqrt(eigh(probe.stiffness_matrix(), np.diag(masses), eigvals_only=True)[-1])
+    f_max /= 2.0 * math.pi
+    return StructureSpec(masses, stiffnesses, nyquist_fraction / (2.0 * f_max), 1.0)
+
+
+class TestClosedFormAgainstOracles:
+    """On random non-uniform chains the numpy basis is mass-normalized and the closed-form
+    modal ZOH pair is scipy's ``expm`` of the augmented system."""
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.9, 0.999])
+    @pytest.mark.parametrize("n_dof", [1, 2, 5, 30, 100])
+    def test_state_space_equals_expm(self, n_dof, fraction):
+        spec = _random_chain(n_dof, fraction)
+        n = n_dof
+        phi = eigen_modes(spec).mode_shapes
+        assert np.max(np.abs(phi.T @ np.diag(spec.masses) @ phi - np.eye(n))) < 1e-12
+        aug = np.zeros((3 * n, 3 * n))  # [[A, B], [0, 0]]: its exponential holds both matrices
+        aug[:n, n : 2 * n] = np.eye(n)
+        aug[n : 2 * n, :n] = -(spec.stiffness_matrix() / spec.masses[:, None])
+        aug[n : 2 * n, 2 * n :] = np.diag(1.0 / spec.masses)
+        exp_aug = expm(aug * spec.dt)
+        for closed, oracle in zip(
+            discrete_state_space(spec), (exp_aug[: 2 * n, : 2 * n], exp_aug[: 2 * n, 2 * n :])
+        ):
+            assert np.max(np.abs(closed - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestSpecValidation:
