@@ -7,6 +7,13 @@ composed with ``-M^-1 K`` and the filter input is zero: the unknown excitation
 is absorbed by process noise shaped along the base-excitation input direction.
 Channels assumed faulty get their measurement variance inflated, which makes
 the filter reconstruct them from the healthy channels and the model.
+
+The filter is stationary: its gain comes from the steady Riccati covariance,
+so the state obeys a linear recurrence with one fixed matrix, and a whole
+block runs as a log-depth (Hillis-Steele) prefix scan rather than one step
+per sample. The missing-sensor scan's leave-one-out filters differ only in
+their measurement noise, so they run as one stacked batch through the same
+doubling solve and scan; ``run_filter`` is that path with a batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from .structure import StructureSpec, discrete_state_space
 
 # histogram bins of the missing-sensor scan's KL divergence
 SCAN_BINS = 16
+# elements of a prefix-scan pass's temporary (256 KiB of float64); a pass over a
+# larger stack runs in chunks of rows that fit
+SCAN_BUFFER = 1 << 15
 
 
 class KalmanError(ValueError):
@@ -49,63 +59,24 @@ class ReconstructionConfig:
 
 @dataclass
 class KalmanFilterState:
-    """State, covariance and the matrices of one discrete-time filter.
+    """State and matrices of one discrete-time filter.
 
-    The initial ``P`` is read only by ``kf_predict``; ``run_filter`` replaces
-    it with the steady posterior covariance.
+    ``P`` and ``gain`` stay None until ``run_filter`` sets them to the steady
+    posterior covariance and the stationary gain.
     """
 
     x: np.ndarray  # (2n,) displacement/velocity state
-    P: np.ndarray  # (2n, 2n)
     transition: np.ndarray  # (2n, 2n)
-    input_matrix: np.ndarray  # (2n, n) force input map
     measurement: np.ndarray  # (m, 2n)
     process_noise: np.ndarray  # (2n, 2n)
     measurement_noise: np.ndarray  # (m, m) diagonal, entries > 0
+    P: np.ndarray | None = None  # (2n, 2n)
     gain: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.diag(self.measurement_noise)
         if np.any(d <= 0):
             raise KalmanError("measurement noise variances must be > 0 (zero collapses the filter)")
-
-
-def kf_predict(state: KalmanFilterState, u=None):
-    """Prior state and covariance: x' = A x + B u, P' = A P A^T + Q."""
-    a = state.transition
-    x_prior = a @ state.x
-    if u is not None:
-        u = np.asarray(u, dtype=float)
-        if u.shape[0] != state.input_matrix.shape[1]:
-            raise KalmanError(
-                f"input dimension {u.shape[0]} does not match {state.input_matrix.shape[1]}"
-            )
-        x_prior = x_prior + state.input_matrix @ u
-    p_prior = a @ state.P @ a.T + state.process_noise
-    return x_prior, p_prior
-
-
-def kf_correct(state: KalmanFilterState, x_prior, p_prior, m_t) -> KalmanFilterState:
-    """Measurement update; returns the state with posterior x, P and gain."""
-    h = state.measurement
-    m_t = np.asarray(m_t, dtype=float)
-    if m_t.shape[0] != h.shape[0]:
-        raise KalmanError(f"measurement dimension {m_t.shape[0]} does not match {h.shape[0]} rows")
-    innov_cov = h @ p_prior @ h.T + state.measurement_noise
-    try:
-        gain = np.linalg.solve(innov_cov.T, (p_prior @ h.T).T).T
-    except np.linalg.LinAlgError:
-        gain = np.full((p_prior.shape[0], h.shape[0]), np.nan)
-    if not np.all(np.isfinite(gain)):
-        cond = np.linalg.cond(innov_cov)
-        raise KalmanError(f"singular innovation covariance (condition number {cond:.3e})")
-    x_post = x_prior + gain @ (m_t - h @ x_prior)
-    p_post = (np.eye(p_prior.shape[0]) - gain @ h) @ p_prior
-    p_post = 0.5 * (p_post + p_post.T)
-    state.x = x_post
-    state.P = p_post
-    state.gain = gain
-    return state
 
 
 def acceleration_output(spec: StructureSpec) -> np.ndarray:
@@ -167,51 +138,127 @@ def filter_for_structure(
         q = q + input_scale**2 * np.outer(direction, direction)
     return KalmanFilterState(
         x=np.zeros(2 * spec.n_dof),
-        P=100.0 * q,
         transition=a_mat,
-        input_matrix=b_mat,
         measurement=h,
         process_noise=q,
         measurement_noise=cv,
     )
 
 
-def _steady_prior_covariance(a, h, q, r):
-    """Stabilising solution P of the filter Riccati equation, by doubling.
+def _noise_information(h, r):
+    """H^T R^-1 H for each R of the (k, m, m) stack.
 
-    P = A P A^T + Q - A P H^T (H P H^T + R)^-1 H P A^T is the steady prior
-    covariance (Anderson & Moore, *Optimal Filtering*, 1979). Each doubling
-    step takes the recursion from Q over twice as many steps (Anderson, "Second-
-    order convergent algorithms for the steady-state Riccati equation", Int. J.
-    Control 28(2), 1978); it stops once P no longer changes, which happens at
-    the latest when the doubled closed-loop transition underflows to zero.
+    Raises KalmanError for the first R that cannot be solved, with the message
+    that R alone would get.
     """
-    eye = np.eye(a.shape[0])
     with np.errstate(all="ignore"):
         try:
             g = h.T @ np.linalg.solve(r, h)
         except np.linalg.LinAlgError:
             g = np.nan
-        if not np.isfinite(g).all():
-            raise KalmanError(
-                f"singular measurement noise covariance (condition number {np.linalg.cond(r):.3e})"
-            )
-        a_k, p = a.T, q
+        if np.isfinite(g).all():
+            return g
+        if len(r) > 1:  # one system at a time, to name the first singular R
+            return np.concatenate([_noise_information(h, r_i[None]) for r_i in r])
+        raise KalmanError(
+            f"singular measurement noise covariance (condition number {np.linalg.cond(r[0]):.3e})"
+        )
+
+
+def _steady_prior_covariance(a, h, q, r):
+    """Stabilising solutions P of the filter Riccati equation, by doubling, one per R.
+
+    P = A P A^T + Q - A P H^T (H P H^T + R)^-1 H P A^T is the steady prior
+    covariance (Anderson & Moore, *Optimal Filtering*, 1979). A, H and Q are
+    shared and ``r`` is a (k, m, m) stack; the result is (k, n, n). Each
+    doubling step takes the recursion from Q over twice as many steps
+    (Anderson, "Second-order convergent algorithms for the steady-state Riccati
+    equation", Int. J. Control 28(2), 1978). The systems double together, and
+    each one is set aside once its own P no longer changes, which happens at
+    the latest when its doubled closed-loop transition underflows to zero. So
+    every slice is the solve of that system alone, and a system that fails
+    raises the error it would raise alone.
+    """
+    k, n = len(r), a.shape[0]
+    g = _noise_information(h, r)
+    steady = np.empty((k, n, n))
+    todo = np.arange(k)  # systems still doubling
+    a_k, p = np.broadcast_to(a.T, (k, n, n)), np.broadcast_to(q, (k, n, n))
+    with np.errstate(all="ignore"):
         for doubling in range(1, 65):
             try:
-                w_a, w_g = np.hsplit(np.linalg.solve(eye + g @ p, np.hstack([a_k, g])), 2)
+                w = np.linalg.solve(np.eye(n) + g @ p, np.concatenate([a_k, g], axis=2))
             except np.linalg.LinAlgError:
                 break
-            p_next = p + a_k.T @ p @ w_a
+            w_a, w_g = w[..., :n], w[..., n:]
+            p_next = p + a_k.mT @ p @ w_a
             if not np.isfinite(p_next).all():
                 break
-            if np.array_equal(p_next, p):
-                return p
-            g = g + a_k @ w_g @ a_k.T
+            settled = (p_next == p).all(axis=(1, 2))
+            if settled.any():
+                steady[todo[settled]] = p[settled]
+                if settled.all():
+                    return steady
+                going = ~settled
+                a_k, g, w_a, w_g, p_next, todo = (
+                    v[going] for v in (a_k, g, w_a, w_g, p_next, todo)
+                )
+            g = g + a_k @ w_g @ a_k.mT
             a_k, p = a_k @ w_a, p_next
         else:
             raise KalmanError("the filter Riccati equation did not settle in 64 doublings")
     raise KalmanError(f"the filter Riccati equation has no finite steady state (doubling {doubling})")
+
+
+def _stationary_filters(a, h, q, r, x0, measurements):
+    """Run k stationary filters that share A, H, Q, the initial state and the block.
+
+    ``r`` is the (k, m, m) stack of measurement noise covariances and
+    ``measurements`` the (m, T) block. Each filter's gain K = P H^T
+    (H P H^T + R)^-1 comes from its steady prior covariance P, so its
+    posterior state follows x_t = x_{t-1} F + K m_t (row vectors) with one
+    fixed F = (A - K H A)^T. That linear recurrence runs as a Hillis-Steele
+    prefix scan (Blelloch, CMU-CS-90-190, 1990): pass s adds x_{t-s} F^s to
+    every row t >= s, with s doubling and F squared after each pass, so T
+    samples take ceil(log2(T + 1)) passes over the whole stack. A pass runs in
+    chunks of rows whose products fit in ``SCAN_BUFFER`` elements, so a large
+    stack adds no second stack-sized temporary. A closed loop with an
+    eigenvalue outside the unit circle (only a growing mode that no process
+    noise drives and no channel measures has one) raises KalmanError once a
+    power of F overflows. Returns (xs, p, gain_t): the (k, T + 1, n)
+    posterior states with row 0 the initial state, the steady prior
+    covariances and the transposed gains.
+    """
+    n_steps = measurements.shape[1]
+    p = _steady_prior_covariance(a, h, q, r)
+    hp = h @ p
+    gain_t = np.linalg.solve(hp @ h.T + r, hp)  # K^T = S^-1 H P
+    power = (a - gain_t.mT @ (h @ a)).mT  # F, then F^2, F^4, ...
+    k, n = len(r), a.shape[0]
+    xs = np.empty((k, n_steps + 1, n))
+    xs[:, 0] = x0
+    np.matmul(measurements.T, gain_t, out=xs[:, 1:])  # the drive K m_t
+    chunk = max(1, min(n_steps, SCAN_BUFFER // (k * n)))
+    carry = np.empty((k, chunk, n))  # x_{t-s} F^s of one chunk of rows
+    s = 1
+    while True:
+        # chunks from the end backwards: a chunk reads rows below its own end only,
+        # which no earlier chunk of this pass has changed
+        hi = n_steps + 1
+        while hi > s:
+            lo = max(s, hi - chunk)
+            np.matmul(xs[:, lo - s : hi - s], power, out=carry[:, : hi - lo])
+            xs[:, lo:hi] += carry[:, : hi - lo]
+            hi = lo
+        s *= 2
+        if s > n_steps:
+            return xs, p, gain_t
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ power
+        if not np.isfinite(power).all():
+            raise KalmanError(
+                f"the filter's closed loop is unstable: F^{s} overflows within {n_steps} samples"
+            )
 
 
 def run_filter(state: KalmanFilterState, measurements: np.ndarray):
@@ -223,32 +270,26 @@ def run_filter(state: KalmanFilterState, measurements: np.ndarray):
     The gain K = P H^T (H P H^T + R)^-1 comes from the steady prior
     covariance P of A, H, Q and R, so every sample runs through the
     time-invariant (Wiener) filter x <- (A - K H A) x + K m_t from
-    ``state.x``. The initial ``state.P`` is read only by ``kf_predict``, not
-    here. On return ``state.gain`` is K and ``state.P`` the steady posterior
-    covariance; an empty block leaves the state untouched.
+    ``state.x``, evaluated as a log-depth prefix scan over the block. This is
+    the batch of one of the path that ``missing_sensor_scan`` runs all its
+    leave-one-out filters through as one stack. On return ``state.gain`` is K
+    and ``state.P`` the steady posterior covariance; an empty block leaves
+    the state untouched.
     """
     rows, n_steps = measurements.shape
     if rows != state.measurement.shape[0]:
         raise KalmanError("measurement block row count does not match the filter")
     if not n_steps:
         return np.empty((rows, 0)), np.empty((rows, 0))
-    a, h, q, r = state.transition, state.measurement, state.process_noise, state.measurement_noise
-    p = _steady_prior_covariance(a, h, q, r)
-    hp, ha = h @ p, h @ a
-    gain_t = np.linalg.solve(hp @ h.T + r, hp)  # K^T = S^-1 H P
-    closed_loop_t = (a - gain_t.T @ ha).T
-    m_rows = measurements.T  # row t is m_t
-    xs = np.empty((n_steps + 1, a.shape[0]))  # posterior states; row 0 is the initial state
-    xs[0] = state.x
-    xs[1:] = m_rows @ gain_t  # the drive K m_t
-    prev = xs[0]
-    for row in xs[1:]:
-        row += prev @ closed_loop_t
-        prev = row
-    p_post = p - gain_t.T @ hp
+    a, h = state.transition, state.measurement
+    xs, p, gain_t = _stationary_filters(
+        a, h, state.process_noise, state.measurement_noise[None], state.x, measurements
+    )
+    xs, p, gain_t = xs[0], p[0], gain_t[0]
+    p_post = p - gain_t.T @ (h @ p)
     state.x, state.P, state.gain = xs[-1].copy(), 0.5 * (p_post + p_post.T), gain_t.T
     est = h @ xs[1:].T
-    innov = measurements - ha @ xs[:-1].T
+    innov = measurements - (h @ a) @ xs[:-1].T
     return est, innov
 
 
@@ -404,7 +445,9 @@ def missing_sensor_scan(
 
     For each candidate, the filter runs with that channel's variance inflated
     and the indicator is the mean symmetrized KL between measured and
-    estimated signals over the remaining channels. The candidate whose
+    estimated signals over the remaining channels. The candidates' filters
+    differ only in R, so they run as one stack: one doubling solve and one
+    prefix scan, the path ``run_filter`` takes with a stack of one. The candidate whose
     exclusion gives the smallest indicator is the missing one; a report is
     issued only when the min-to-median ratio falls below the configured
     threshold, so a fault-free neighborhood stays quiet.
@@ -417,9 +460,16 @@ def missing_sensor_scan(
     _, block, make_filter = _scoped_filter(
         structure, windows, node_set, present, config, noise_var
     )
+    base = make_filter(())
+    # candidate c's R is the base R with row c inflated, as make_filter({c}) builds it
+    c = np.arange(len(node_set))
+    r = np.repeat(base.measurement_noise[None], len(node_set), axis=0)
+    r[c, c, c] *= config.variance_inflation
+    h = base.measurement
+    xs = _stationary_filters(base.transition, h, base.process_noise, r, base.x, block)[0]
     lambdas = {}
-    for cand in node_set:
-        est, _ = run_filter(make_filter({cand}), block)
+    for cand, states in zip(node_set, xs):
+        est = h @ states[1:].T
         kls = []
         for i, ch in enumerate(node_set):
             if ch != cand:

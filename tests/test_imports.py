@@ -28,10 +28,6 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == ""
 
 
-# kept as the test oracle of the stationary filter; no run calls them
-ORACLE_ONLY = {"kf_predict", "kf_correct"}
-
-
 def _trees(*dirs):
     for d in dirs:
         for path in sorted((ROOT / d).rglob("*.py")):
@@ -71,6 +67,6 @@ def test_every_public_name_is_referenced_outside_the_tests():
         f"{path.name}:{name}"
         for path, tree in _trees("src/shmsim")
         for name in _public_definitions(tree)
-        if name not in referenced and name not in ORACLE_ONLY
+        if name not in referenced
     )
     assert unused == []

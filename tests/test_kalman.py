@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
+from shmsim.detection import default_edges
 from shmsim.kalman import (
+    SCAN_BINS,
+    _scoped_filter,
+    _stationary_filters,
     _steady_prior_covariance,
     KalmanError,
     KalmanFilterState,
     ReconstructionConfig,
     filter_for_structure,
-    kf_correct,
-    kf_predict,
     kl_divergence,
     missing_sensor_scan,
     reconstruct_signals,
@@ -52,10 +54,53 @@ def chain_round():
     return spec, clean, rms, windows, noise_var
 
 
+def kf_predict(state: KalmanFilterState, u=None, input_matrix=None):
+    """Stepwise oracle prior: x' = A x + B u, P' = A P A^T + Q from ``state.P``."""
+    a = state.transition
+    x_prior = a @ state.x
+    if u is not None:
+        u = np.asarray(u, dtype=float)
+        if u.shape[0] != input_matrix.shape[1]:
+            raise KalmanError(
+                f"input dimension {u.shape[0]} does not match {input_matrix.shape[1]}"
+            )
+        x_prior = x_prior + input_matrix @ u
+    p_prior = a @ state.P @ a.T + state.process_noise
+    return x_prior, p_prior
+
+
+def kf_correct(state: KalmanFilterState, x_prior, p_prior, m_t) -> KalmanFilterState:
+    """Stepwise oracle measurement update; returns the state with posterior x, P and gain."""
+    h = state.measurement
+    m_t = np.asarray(m_t, dtype=float)
+    if m_t.shape[0] != h.shape[0]:
+        raise KalmanError(f"measurement dimension {m_t.shape[0]} does not match {h.shape[0]} rows")
+    innov_cov = h @ p_prior @ h.T + state.measurement_noise
+    try:
+        gain = np.linalg.solve(innov_cov.T, (p_prior @ h.T).T).T
+    except np.linalg.LinAlgError:
+        gain = np.full((p_prior.shape[0], h.shape[0]), np.nan)
+    if not np.all(np.isfinite(gain)):
+        cond = np.linalg.cond(innov_cov)
+        raise KalmanError(f"singular innovation covariance (condition number {cond:.3e})")
+    x_post = x_prior + gain @ (m_t - h @ x_prior)
+    p_post = (np.eye(p_prior.shape[0]) - gain @ h) @ p_prior
+    p_post = 0.5 * (p_post + p_post.T)
+    state.x = x_post
+    state.P = p_post
+    state.gain = gain
+    return state
+
+
+def _with_initial_covariance(state):
+    """The oracle's starting covariance for a built filter: P = 100 Q."""
+    state.P = 100.0 * state.process_noise
+    return state
+
+
 def _simple_state(dim=4, meas=None, seed=0):
     rng = np.random.default_rng(seed)
     a = np.eye(dim)
-    b = np.zeros((dim, dim // 2))
     h = np.eye(dim) if meas is None else meas
     p = rng.standard_normal((dim, dim))
     p = p @ p.T + dim * np.eye(dim)
@@ -63,7 +108,6 @@ def _simple_state(dim=4, meas=None, seed=0):
         x=rng.standard_normal(dim),
         P=p,
         transition=a,
-        input_matrix=b,
         measurement=h,
         process_noise=np.zeros((dim, dim)),
         measurement_noise=np.eye(h.shape[0]),
@@ -80,22 +124,21 @@ class TestPredict:
     def test_zero_transition_passes_input_through(self):
         state = _simple_state()
         state.transition = np.zeros_like(state.transition)
-        state.input_matrix = np.eye(4)[:, :2] * 3.0
+        input_matrix = np.eye(4)[:, :2] * 3.0
         u = np.array([1.0, -2.0])
-        x_prior, _ = kf_predict(state, u)
-        assert np.allclose(x_prior, state.input_matrix @ u)
+        x_prior, _ = kf_predict(state, u, input_matrix)
+        assert np.allclose(x_prior, input_matrix @ u)
 
     def test_free_decay_matches_simulator(self):
         """Prediction-only filtering reproduces the exact free trajectory."""
         spec = uniform_chain(1, 1.0, (2 * np.pi) ** 2, 0.01, 1.0)
         x0, v0 = 0.07, -0.3
         record = free_vibration(spec, [x0], [v0])
-        a_mat, b_mat = discrete_state_space(spec)
+        a_mat, _ = discrete_state_space(spec)
         state = KalmanFilterState(
             x=np.array([x0, v0]),
             P=np.eye(2),
             transition=a_mat,
-            input_matrix=b_mat,
             measurement=np.eye(2),
             process_noise=np.zeros((2, 2)),
             measurement_noise=np.eye(2),
@@ -108,7 +151,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         state = _simple_state()
         with pytest.raises(KalmanError):
-            kf_predict(state, np.zeros(7))
+            kf_predict(state, np.zeros(7), np.zeros((4, 2)))
 
 
 class TestCorrect:
@@ -132,9 +175,7 @@ class TestCorrect:
         with pytest.raises(KalmanError):
             KalmanFilterState(
                 x=np.zeros(2),
-                P=np.eye(2),
                 transition=np.eye(2),
-                input_matrix=np.zeros((2, 1)),
                 measurement=np.eye(2),
                 process_noise=np.zeros((2, 2)),
                 measurement_noise=np.zeros((2, 2)),
@@ -233,11 +274,11 @@ def _neighborhood_filter(spec, noise_var, rms, inflated_node=6):
 
 
 def _constant_gain_filter(state, gain, measurements):
-    """Reference stationary filter: kf_predict, then x += K (m - H x) per sample."""
+    """Reference stationary filter: x_prior = A x, x = x_prior + K (m - H x_prior) per sample."""
     est = np.empty_like(measurements)
     innov = np.empty_like(measurements)
     for t in range(measurements.shape[1]):
-        x_prior, _ = kf_predict(state)
+        x_prior = state.transition @ state.x
         innov[:, t] = measurements[:, t] - state.measurement @ x_prior
         state.x = x_prior + gain @ innov[:, t]
         est[:, t] = state.measurement @ state.x
@@ -298,7 +339,7 @@ class TestRunFilter:
     def test_matches_stepwise_recursion(self, chain_round, scope, inflated_node, converges):
         clean = chain_round[1]
         channels, block, build = _run_filter_case(chain_round, scope, inflated_node)
-        state, varying = build(), build()
+        state, varying = build(), _with_initial_covariance(build())
         est, innov = run_filter(state, block)
         ref_est, ref_innov = _constant_gain_filter(build(), state.gain, block)
         scale = float(np.sqrt(np.mean(block**2)))
@@ -320,14 +361,29 @@ class TestRunFilter:
                 np.mean((var_est[row] - truth) ** 2)
             )
 
+    @pytest.mark.parametrize("inflated_node", [5, 6])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 511, 512, 513, 5000])
+    def test_scan_matches_constant_gain_loop(self, chain_round, inflated_node, n_steps):
+        """The log-depth scan against the per-sample loop, at block lengths around powers
+        of two and beyond 2048, from a non-zero initial state; node 5 leaves a slow mode."""
+        spec, clean, rms, windows, noise_var = chain_round
+        rng = np.random.default_rng(n_steps)
+        block = rms[4:7, None] * rng.standard_normal((3, n_steps))
+        state, reference = (_neighborhood_filter(spec, noise_var, rms, inflated_node) for _ in "ab")
+        state.x = reference.x = 1e-3 * rng.standard_normal(state.x.size)
+        est, innov = run_filter(state, block)
+        ref_est, ref_innov = _constant_gain_filter(reference, state.gain, block)
+        for mine, ref in ((est, ref_est), (innov, ref_innov), (state.x, reference.x)):
+            assert np.max(np.abs(mine - ref)) <= 1e-11 * np.max(np.abs(ref))
+
     def test_empty_block(self, chain_round):
         spec, clean, rms, windows, noise_var = chain_round
         state = _neighborhood_filter(spec, noise_var, rms)
-        x0, p0 = state.x.copy(), state.P.copy()
+        x0 = state.x.copy()
         est, innov = run_filter(state, np.zeros((3, 0)))
         assert est.shape == innov.shape == (3, 0)
-        assert np.array_equal(state.x, x0) and np.array_equal(state.P, p0)
-        assert state.gain is None
+        assert np.array_equal(state.x, x0)
+        assert state.P is None and state.gain is None
 
     def test_unobserved_noiseless_unstable_mode_converges(self):
         """scipy's DARE has no stabilising solution here; the doubling solve still settles."""
@@ -346,6 +402,17 @@ class TestRunFilter:
         assert np.allclose(est[:, 100:], var_est[:, 100:], rtol=1e-9, atol=1e-12)
         assert np.allclose(innov[:, 100:], var_innov[:, 100:], rtol=1e-9, atol=1e-12)
         assert np.allclose(state.gain, varying.gain, rtol=1e-9, atol=1e-12)
+
+    def test_unstable_closed_loop_overflow_raises(self):
+        """F^16384 overflows at closed-loop eigenvalue 1.05; a stepwise loop would return
+        finite estimates from a zero initial state, the scan would return NaN."""
+        state = _unobserved_unstable_mode([0.0, 0.1, 0.1, 0.1])
+        state.x[0] = 0.0
+        block = np.random.default_rng(8).standard_normal((3, 20_000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(KalmanError, match="closed loop is unstable: F\\^16384"):
+                run_filter(state, block)
 
     def test_unobserved_noisy_unstable_mode_raises(self):
         """Process noise on the unobserved growing mode leaves no finite steady state."""
@@ -380,7 +447,7 @@ class TestSteadyState:
     @pytest.mark.parametrize("case", [c[:2] for c in RUN_FILTER_CASES] + [None], ids=_case_id)
     def test_solves_riccati_with_stable_closed_loop(self, chain_round, case):
         a, h, q, r = self._matrices(chain_round, case)
-        p = _steady_prior_covariance(a, h, q, r)
+        p = _steady_prior_covariance(a, h, q, r[None])[0]
         gain = np.linalg.solve(h @ p @ h.T + r, h @ p).T
         residual = a @ p @ a.T + q - a @ gain @ h @ p @ a.T - p
         assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(p))
@@ -389,9 +456,32 @@ class TestSteadyState:
     @pytest.mark.parametrize("case", [c[:2] for c in RUN_FILTER_CASES], ids=_case_id)
     def test_matches_scipy_dare(self, chain_round, case):
         a, h, q, r = self._matrices(chain_round, case)
-        p = _steady_prior_covariance(a, h, q, r)
+        p = _steady_prior_covariance(a, h, q, r[None])[0]
         reference = solve_discrete_are(a.T, h.T, q, r)
         assert np.max(np.abs(p - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "bad_noise, message",
+        [(np.diag([1e300, 1.0, 1.0, 1.0]), "no finite steady state"),
+         (np.diag([1.0, 1.0, 1.0, 0.0]), "singular measurement noise")],
+    )
+    def test_failing_system_fails_the_stack(self, failing, bad_noise, message):
+        """One failing R in a stack raises the error a lone ``run_filter`` on it raises."""
+        state = _simple_state(seed=9)
+        state.transition = np.diag([1.05, 0.9, 0.8, 0.7])
+        state.process_noise = 0.1 * np.eye(4)
+        state.measurement_noise = bad_noise
+        block = np.random.default_rng(10).standard_normal((4, 50))
+        with pytest.raises(KalmanError, match=message) as lone:
+            run_filter(state, block)
+        stack = np.stack([np.eye(4), np.diag([2.0, 1.0, 3.0, 1.0]), np.eye(4)])
+        stack[failing] = bad_noise
+        args = state.transition, state.measurement, state.process_noise, stack
+        with pytest.raises(KalmanError) as stacked:
+            _stationary_filters(*args, state.x, block)
+        assert str(stacked.value) == str(lone.value)
 
 
 class TestReconstructionConfig:
@@ -516,7 +606,60 @@ class TestKLDivergence:
             kl_divergence(np.ones(5), np.ones(6), np.linspace(0, 2, 5))
 
 
+def _lone_filter_scan(node_set, windows, spec, noise_var, config=ReconstructionConfig()):
+    """The scan's (lambdas, reported) from one ``run_filter`` call per candidate."""
+    present = [ch for ch in node_set if windows.get(ch) is not None]
+    _, block, make_filter = _scoped_filter(spec, windows, node_set, present, config, noise_var)
+    lambdas = {}
+    for cand in node_set:
+        est, _ = run_filter(make_filter({cand}), block)
+        kls = [
+            kl_divergence(block[i], est[i], default_edges((block[i], est[i]), SCAN_BINS))
+            for i, ch in enumerate(node_set)
+            if ch != cand
+        ]
+        lambdas[cand] = float(np.mean(kls))
+    best = min(lambdas, key=lambda ch: (lambdas[ch], ch))
+    median = float(np.median(list(lambdas.values())))
+    margin = float(lambdas[best] / median) if median > 0 else 1.0
+    return lambdas, best if margin < config.scan_report_ratio else None
+
+
 class TestMissingSensorScan:
+    @pytest.mark.parametrize(
+        "nodes, missing", [(range(N), None), (range(N), 5), ((3, 4, 5, 6, 7), 5), ((0, 1, 2, 3), 0)]
+    )
+    def test_stacked_scan_equals_lone_filters(self, chain_round, nodes, missing):
+        """The one-stack scan gives the lambdas and report of per-candidate filters bit for bit."""
+        spec, clean, rms, windows, noise_var = chain_round
+        scope = {ch: None if ch == missing else windows[ch] for ch in nodes}
+        result = missing_sensor_scan(nodes, scope, spec, noise_var=noise_var)
+        lambdas, reported = _lone_filter_scan(list(nodes), scope, spec, noise_var)
+        assert result.lambdas == lambdas
+        assert result.reported == reported
+
+    def test_stacked_filters_equal_lone_filters(self, chain_round):
+        """Each slice of a stacked filter run is the lone ``run_filter`` bit for bit. Here
+        the first candidate's doubling solve settles one doubling before the others'."""
+        spec, clean, rms, windows, noise_var = chain_round
+        nodes = [0, 1, 2, 3]
+        scope = {0: None, **{ch: windows[ch] for ch in nodes[1:]}}
+        _, block, make_filter = _scoped_filter(
+            spec, scope, nodes, nodes[1:], ReconstructionConfig(), noise_var
+        )
+        lone = [make_filter({cand}) for cand in nodes]
+        stack = np.stack([f.measurement_noise for f in lone])
+        f = lone[0]
+        xs, p, gain_t = _stationary_filters(
+            f.transition, f.measurement, f.process_noise, stack, f.x, block
+        )
+        for i, state in enumerate(lone):
+            est, _ = run_filter(state, block)
+            assert np.array_equal(f.measurement @ xs[i, 1:].T, est)
+            assert np.array_equal(xs[i, -1], state.x)
+            assert np.array_equal(gain_t[i].T, state.gain)
+
+
     def test_null_case_reports_nothing(self, chain_round):
         spec, clean, rms, windows, noise_var = chain_round
         result = missing_sensor_scan(range(N), windows, spec, noise_var=noise_var)

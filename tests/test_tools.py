@@ -1,5 +1,5 @@
 """tools/: artifact_drift.py (byte equality per file and per-field numeric drift) and
-bench_pairs.py (alternating benchmark pairs and their ratios)."""
+bench_pairs.py (alternating benchmark pairs, their ratios and verdicts)."""
 
 import importlib.util
 import json
@@ -106,3 +106,62 @@ def test_bench_pairs_keeps_workload_prefixes():
 def test_bench_pairs_rejects_trees_without_the_benchmark(tmp_path):
     args = [str(tmp_path), str(tmp_path), "--workload", "field100", "--pairs", "1"]
     assert bench_pairs.main(args) == 2
+
+
+BOUNDS = bench_pairs.load_bounds(ROOT / "BENCHMARK.json")
+
+
+def _pairs(parent_runs, change_runs, setup_s=0.5):
+    return [
+        tuple(bench_pairs.parse_result(_bench_stdout(r, setup_s)) for r in (p, c))
+        for p, c in zip(parent_runs, change_runs)
+    ]
+
+
+def test_bench_pairs_reads_bounds_from_the_benchmark():
+    assert BOUNDS["run_s_p50"] == ("lower", 0.25)
+    assert BOUNDS["detection_accuracy"] == ("higher", 0.02)
+    assert set(bench_pairs.END_TO_END) == set(BOUNDS)
+
+
+def test_bench_pairs_verdict_gain_and_ties():
+    parent = [1.00, 1.02, 0.98, 1.05, 0.97, 1.01, 1.03, 0.99, 1.04, 1.00]
+    change = [0.70, 0.71, 0.69, 0.72, 0.68, 0.70, 1.10, 0.69, 0.71, 0.70]
+    lines = bench_pairs.verdict_lines(_pairs(parent, change), BOUNDS)
+    assert lines == [
+        "verdict detection_accuracy: wins 0 ties 10 losses 0; parent median 0.97 q1 0.97 "
+        "q3 0.97; change median 0.97 q1 0.97 q3 0.97; no worse",
+        "verdict run_s_p50: wins 9 ties 0 losses 1; parent median 1.005 q1 0.9925 q3 1.0275; "
+        "change median 0.7 q1 0.6925 q3 0.71; gain",
+        "verdict setup_s: wins 0 ties 10 losses 0; parent median 0.5 q1 0.5 q3 0.5; "
+        "change median 0.5 q1 0.5 q3 0.5; no worse",
+    ]
+
+
+@pytest.mark.parametrize(
+    "parent, change, word",
+    [
+        # 8 of 10 wins is short of a gain, and the median moved less than the bound
+        ([1.0] * 10, [0.9] * 8 + [1.1] * 2, "no worse"),
+        # the median is 40% slower, beyond the 0.25 bound
+        ([1.0] * 10, [1.4] * 10, "worse"),
+        # both sides spread wider than the bound and overlap
+        ([1.0, 2.0] * 5, [2.0, 1.0] * 5, "unresolved"),
+        # the parent spreads wider than the bound, but every change run beats every
+        # parent run, though by less than the parent's quartile distance
+        ([1.0, 1.0, 1.0, 10.0] * 3, [0.99] * 12, "no worse"),
+        # drift in the last digits is a tie, not a win
+        ([0.95] * 10, [0.95 * (1 - 1e-12)] * 10, "no worse"),
+    ],
+)
+def test_bench_pairs_verdicts(parent, change, word):
+    values = list(zip(parent, change))
+    assert bench_pairs.verdict(values, "lower", 0.25)[-1] == word
+    flipped = [(-p, -c) for p, c in values]  # the same runs for a higher-is-better metric
+    assert bench_pairs.verdict(flipped, "higher", 0.25)[-1] == word
+
+
+def test_bench_pairs_verdict_on_one_pair():
+    assert bench_pairs.verdict([(1.0, 0.5)], "lower", 0.25) == (
+        1, 0, 0, (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), "gain"
+    )

@@ -9,10 +9,25 @@ root and with the environment as given (set ``OPENBLAS_NUM_THREADS`` to pin
 BLAS threads); odd pairs run the parent first and even pairs the change.
 For every pair it prints each end-to-end metric of both runs and the ratio
 change / parent, then the median ratio of each metric over the pairs; with
-``--workload all`` the metrics carry their workload's prefix. Exit status is
-1 when any run prints no result, is not ``correct`` or has ``failed > 0``, 2
-on bad arguments and 0 otherwise. Standard library only; it runs ``bench/``
-as it is and writes nothing there.
+``--workload all`` the metrics carry their workload's prefix. Last comes one
+verdict line per metric: wins, ties and losses of the change, each side's
+median and quartiles, and the verdict, judged with the direction and bound
+that PARENT_TREE's ``BENCHMARK.json`` gives the metric:
+
+- ``gain``: the change wins at least 9 in 10 of all pairs (ties, pairs
+  within 1e-9 relative of each other, count for neither) and its median is
+  better than the parent's by more than the distance between the parent's
+  quartiles;
+- ``worse``: the change's median is worse than the parent's by more than the
+  bound, relative to the parent's median;
+- ``unresolved``: either side's quartile distance, relative to its median,
+  exceeds the bound, and not every change run reads better than every
+  parent run;
+- ``no worse``: anything else.
+
+Exit status is 1 when any run prints no result, is not ``correct`` or has
+``failed > 0``, 2 on bad arguments and 0 otherwise. Standard library only; it
+runs ``bench/`` as it is and writes nothing there or to ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -93,6 +108,72 @@ def median_ratios(pairs) -> dict:
     return {name: statistics.median(values) for name, values in sorted(ratios.items())}
 
 
+# relative difference up to which a pair is a tie: floating-point drift, not a change
+TIE = 1e-9
+
+
+def load_bounds(path: str) -> dict:
+    """End-to-end metric name -> (better, bound) from a ``BENCHMARK.json``."""
+    with open(path) as f:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
+
+
+def quartiles(values) -> tuple:
+    """(first quartile, median, third quartile) of the values, linearly interpolated."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def _relative(width, centre):
+    return width / abs(centre) if centre else (0.0 if width == 0 else float("inf"))
+
+
+def verdict(values, better: str, bound: float) -> tuple:
+    """(wins, ties, losses, parent quartiles, change quartiles, verdict) over the
+    (parent, change) value pairs of one metric; see the module docstring for the rule."""
+    sign = 1 if better == "higher" else -1
+    gains = [
+        sign * (change - parent) if abs(change - parent) > TIE * max(abs(parent), abs(change))
+        else 0.0
+        for parent, change in values
+    ]
+    wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+    parents, changes = [p for p, _ in values], [c for _, c in values]
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parents), quartiles(changes)
+    gap = sign * (cm - pm)
+    spread = max(_relative(p3 - p1, pm), _relative(c3 - c1, cm))
+    separated = min(sign * c for c in changes) > max(sign * p for p in parents)
+    if wins >= 0.9 * len(values) and gap > p3 - p1:
+        word = "gain"
+    elif -gap > bound * abs(pm):
+        word = "worse"
+    elif spread > bound and not separated:
+        word = "unresolved"
+    else:
+        word = "no worse"
+    return wins, len(values) - wins - losses, losses, (p1, pm, p3), (c1, cm, c3), word
+
+
+def verdict_lines(pairs, bounds: dict) -> list:
+    """One verdict line per end-to-end metric that both runs of some pair report."""
+    values = {}
+    for parent, change in pairs:
+        a, b = end_to_end(parent), end_to_end(change)
+        for name in a.keys() & b.keys():
+            values.setdefault(name, []).append((a[name], b[name]))
+    lines = []
+    for name, pair_values in sorted(values.items()):
+        better, bound = bounds[name.rpartition(".")[2]]
+        wins, ties, losses, parent, change, word = verdict(pair_values, better, bound)
+        sides = "; ".join(
+            f"{side} median {q[1]:.6g} q1 {q[0]:.6g} q3 {q[2]:.6g}"
+            for side, q in (("parent", parent), ("change", change))
+        )
+        lines.append(f"verdict {name}: wins {wins} ties {ties} losses {losses}; {sides}; {word}")
+    return lines
+
+
 def run_bench(tree: str, args) -> dict | None:
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload", args.workload,
@@ -115,9 +196,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)
     trees = (args.parent_tree, args.change_tree)
-    if args.pairs < 1 or not all(os.path.isfile(os.path.join(t, "bench", "run.py")) for t in trees):
+    benchmark = os.path.join(args.parent_tree, "BENCHMARK.json")
+    if (args.pairs < 1 or not os.path.isfile(benchmark)
+            or not all(os.path.isfile(os.path.join(t, "bench", "run.py")) for t in trees)):
         parser.print_usage(sys.stderr)
         return 2
+    bounds = load_bounds(benchmark)
     pairs, ok = [], True
     for n in range(1, args.pairs + 1):
         results = [None, None]
@@ -129,6 +213,7 @@ def main(argv=None) -> int:
         print("\n".join(lines), flush=True)
     for name, ratio in median_ratios(pairs).items():
         print(f"median ratio {name}: {ratio:.3f}")
+    print("\n".join(verdict_lines(pairs, bounds)))
     return 0 if ok else 1
 
 
