@@ -605,6 +605,7 @@ class _Run:
     fault_schedule: list
     damage_schedule: list
     training_windows: dict  # channel -> its training windows by round, None where lost
+    shared: dict  # the round's results that runs given the same inputs share (see _once)
     energy: net.EnergyLedger = field(default_factory=net.EnergyLedger)
     dependability: mod.DependabilityReport = field(default_factory=mod.DependabilityReport)
     detections_rows: list = field(default_factory=list)
@@ -613,6 +614,19 @@ class _Run:
     baseline_rounds: list = field(default_factory=list)  # (curvature, frequency) per round
     model: det.CorrelationModel | None = None
     baseline: mod.CurvatureBaseline | None = None
+
+
+def _once(run: _Run, compute, step: str, *inputs):
+    """``compute()``, or the result another run of the round got from the very same ``inputs``.
+
+    Runs share a result only when they pass the same objects, never merely equal
+    ones, so a view that a run made for itself is its own. The entry keeps its
+    inputs alive, which keeps their ids unique until the round's entries are cleared.
+    """
+    key = (step, *map(id, inputs))
+    if key not in run.shared:
+        run.shared[key] = (inputs, compute())
+    return run.shared[key][1]
 
 
 def _transport(run: _Run, d: int, delivered: dict) -> dict:
@@ -688,14 +702,17 @@ def _assemble(run: _Run, d: int, estimates: list, *stages):
     A failed assembly records nothing and returns None.
     """
     cfg = run.cfg
-    try:
-        shape = mod.assemble_global(
-            estimates,
-            tolerance_hz=cfg.tolerance_hz,
-            n_locations=cfg.n_nodes,
-            round_index=d,
-        )
-    except mod.ModalError:
+
+    def assemble():
+        try:
+            return mod.assemble_global(
+                estimates, tolerance_hz=cfg.tolerance_hz, n_locations=cfg.n_nodes, round_index=d
+            )
+        except mod.ModalError:
+            return None
+
+    shape = _once(run, assemble, "assemble", *estimates)
+    if shape is None:
         return None
     run.mode_rows.extend(
         (d, stage, k, shape.frequencies[k], loc, shape.vectors[loc, k], int(shape.missing[loc, k]))
@@ -722,7 +739,12 @@ def _train(run: _Run, d: int, view: dict, estimates: list):
         return
     neighbors = run.cfg.graph.neighbors
     pairs = sorted({det.CorrelationModel.pair_key(i, j) for i in neighbors for j in neighbors[i]})
-    run.model = det.train_correlation_model(run.training_windows, cfg.detection, pairs=pairs)
+    run.model = _once(
+        run,
+        lambda: det.train_correlation_model(run.training_windows, cfg.detection, pairs=pairs),
+        "train",
+        *(w for windows in run.training_windows.values() for w in windows),
+    )
     if len(run.baseline_rounds) >= 2:
         curvatures, frequencies = zip(*run.baseline_rounds)
         try:
@@ -736,9 +758,16 @@ def _train(run: _Run, d: int, view: dict, estimates: list):
 def _detect(run: _Run, d: int, view: dict, estimates: list) -> dict:
     """Each node's verdict for the round: MI detection, or the NFMC frequency check."""
     if not run.policy.frequency_matching:
-        return det.detection_round(
-            view, run.cfg.graph.neighbors, run.model, run.cfg.detection, round_index=d
+        shared = _once(
+            run,
+            lambda: det.detection_round(
+                view, run.cfg.graph.neighbors, run.model, run.cfg.detection, round_index=d
+            ),
+            "detect",
+            view,
+            run.model,
         )
+        return dict(shared)  # the scan relabels verdicts in its run's copy
     # NFMC-style baseline: flag nodes whose peak frequency mismatches the consensus
     peaks = {e.sensor_id: None if e.is_empty else float(e.frequencies[0]) for e in estimates}
     present = [f for f in peaks.values() if f is not None]
@@ -854,12 +883,21 @@ def _score(run: _Run, d: int, decisions: dict, flagged: list, shape):
     run.dependability.add_round(d, run.cfg.n_nodes, flagged, active, reports, damaged)
 
 
-def run_scenario(config, out_dir: str) -> RunManifest:
-    """Execute a full scenario and write the CSV artifacts into ``out_dir``."""
-    if isinstance(config, dict):
-        config, _ = validate_config(config)
-    cfg = config
-    os.makedirs(out_dir, exist_ok=True)
+def _execute(configs: list, out_dirs: list) -> list:
+    """Run validated configs that differ only in mode in one round loop, in lockstep.
+
+    Each round's structure response, sensing and faults are computed once for
+    every run. Runs whose transport hands the detector the round's delivered
+    windows as they are also share the raw mode estimates, the MI model, MI
+    detection and every assembly of the same estimates: the raw and baseline
+    ones, and a final one that replaced no estimate (see ``_once``). Each run
+    keeps its own loss stream, energy ledger, scans, reconstructions and final
+    extraction. Writes each run's artifacts into its ``out_dirs`` entry and
+    returns each run's (manifest, summary).
+    """
+    cfg = configs[0]
+    for out_dir in out_dirs:
+        os.makedirs(out_dir, exist_ok=True)
     sim = _Simulator(cfg)
     profiles, fault_schedule = resolve_fault_profiles(cfg, sim.signal_rms)
     damage_schedule = [] if cfg.damage is None else [dict(cfg.damage)]
@@ -868,34 +906,48 @@ def run_scenario(config, out_dir: str) -> RunManifest:
     for ch in range(cfg.n_nodes):
         path = routes[ch]
         bs_hops[ch] = [(a, b, cfg.topology.distance(a, b)) for a, b in zip(path[:-1], path[1:])]
-    run = _Run(
-        cfg=cfg,
-        policy=_POLICIES[cfg.mode],
-        bs_hops=bs_hops,
-        noise_var={ch: float(sim.noise_std[ch] ** 2) for ch in range(cfg.n_nodes)},
-        loss_rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, _LOSS])),
-        fault_schedule=fault_schedule,
-        damage_schedule=damage_schedule,
-        training_windows={ch: [] for ch in range(cfg.n_nodes)},
-    )
+    noise_var = {ch: float(sim.noise_std[ch] ** 2) for ch in range(cfg.n_nodes)}
+    shared = {}
+    runs = [
+        _Run(
+            cfg=config,
+            policy=_POLICIES[config.mode],
+            bs_hops=bs_hops,
+            noise_var=noise_var,
+            loss_rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, _LOSS])),
+            fault_schedule=fault_schedule,
+            damage_schedule=damage_schedule,
+            training_windows={ch: [] for ch in range(cfg.n_nodes)},
+            shared=shared,
+        )
+        for config in configs
+    ]
 
     for d in range(cfg.total_rounds):
         clean, windows = sim.measured_round(d)
         active = [p for p, e in zip(profiles, fault_schedule) if _fault_active(e, d)]
         delivered = {ch: sen.apply_faults(windows[ch], active) for ch in windows}
-        view = _transport(run, d, delivered)
-        estimates = _extract(run, d, view)
-        if d < cfg.training_rounds:
-            _train(run, d, view, estimates)
-            continue
-        decisions = _detect(run, d, view, estimates)
-        _scan(run, d, view, decisions)
-        flagged = sorted(ch for ch, dc in decisions.items() if dc.verdict in ("faulty", "missing"))
-        final = _reconstruct(run, d, view, flagged, clean)
-        shape = _modal(run, d, view, final, estimates)
-        _score(run, d, decisions, flagged, shape)
+        shared.clear()
+        for run in runs:
+            view = _transport(run, d, delivered)
+            estimates = _once(run, lambda: _extract(run, d, view), "extract", view)
+            if d < cfg.training_rounds:
+                _train(run, d, view, estimates)
+                continue
+            decisions = _detect(run, d, view, estimates)
+            _scan(run, d, view, decisions)
+            flagged = sorted(
+                ch for ch, dc in decisions.items() if dc.verdict in ("faulty", "missing")
+            )
+            final = _reconstruct(run, d, view, flagged, clean)
+            shape = _modal(run, d, view, final, estimates)
+            _score(run, d, decisions, flagged, shape)
+    return [_write_outputs(run, out_dir) for run, out_dir in zip(runs, out_dirs)]
 
-    # ---- outputs ---------------------------------------------------------------
+
+def _write_outputs(run: _Run, out_dir: str):
+    """Write one run's CSV tables, summary and manifest; return (manifest, summary)."""
+    cfg, fault_schedule = run.cfg, run.fault_schedule
     tables = (
         ("detections", ["round", "node", "lambda", "verdict", "truth"], run.detections_rows),
         ("reconstructions", ["round", "node", "quality", "residual_rms"], run.reconstruction_rows),
@@ -947,23 +999,46 @@ def run_scenario(config, out_dir: str) -> RunManifest:
         mode=cfg.mode,
         config=cfg.raw,
         fault_schedule=fault_schedule,
-        damage_schedule=damage_schedule,
+        damage_schedule=run.damage_schedule,
         outputs=outputs,
     )
     for name, payload in (("summary", summary), ("manifest", manifest.to_dict())):
         with open(os.path.join(out_dir, outputs[name]), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return manifest
+    return manifest, summary
+
+
+def run_scenario(config, out_dir: str) -> RunManifest:
+    """Execute a full scenario and write the CSV artifacts into ``out_dir``."""
+    if isinstance(config, dict):
+        config, _ = validate_config(config)
+    return _execute([config], [out_dir])[0][0]
 
 
 def compare_schemes(config, modes, out_dir: str) -> str:
     """Run each mode on identical seeds and write a comparison table.
 
     Returns the path of the comparison CSV. Each mode's full artifacts land in
-    ``out_dir/<mode>/``.
+    ``out_dir/<mode>/``, byte-identical to that mode's own ``run_scenario``.
+    Every mode is validated before anything is written, so a ``ConfigError``
+    leaves ``out_dir`` untouched. The modes then run together in one round
+    loop: the structure response, the sensing and the faults of a round are
+    computed once for all of them. Modes whose detector sees the delivered
+    windows as they are (every distributed mode, and every mode when
+    ``energy.packet_loss`` is 0) also share the raw mode estimates, their raw
+    and baseline assemblies, the MI model and MI detection; a centralized mode
+    with losses computes its own. Warnings from shared steps, such as training's
+    ``DegenerateSignalWarning``, are raised once per comparison, not once per mode.
     """
     base_raw = config if isinstance(config, dict) else config.raw
+    configs = []
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError([f"compare: mode {mode!r} is not one of {MODES}"])
+        configs.append(validate_config({**base_raw, "mode": mode})[0])
+    out_dirs = [os.path.join(out_dir, mode) for mode in modes]
+    results = _execute(configs, out_dirs) if configs else []
     columns = [
         "detection_accuracy",
         "event_detection_ability",
@@ -973,16 +1048,10 @@ def compare_schemes(config, modes, out_dir: str) -> str:
         "energy_total_j",
         "fault_round_surcharge",
     ]
-    rows = []
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError([f"compare: mode {mode!r} is not one of {MODES}"])
-        raw = {**base_raw, "mode": mode}
-        sub_dir = os.path.join(out_dir, mode)
-        run_scenario(raw, sub_dir)
-        with open(os.path.join(sub_dir, "summary.json")) as fh:
-            s = json.load(fh)
-        rows.append([mode] + ["" if s[c] is None else s[c] for c in columns])
+    rows = [
+        [mode] + ["" if s[c] is None else s[c] for c in columns]
+        for mode, (_, s) in zip(modes, results)
+    ]
     path = os.path.join(out_dir, "comparison.csv")
     _write_csv(path, "comparison", ["mode"] + columns, rows)
     return path

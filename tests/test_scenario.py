@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pathlib
 import tempfile
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fault_only_config, null_config, read_rows, read_summary
-from shmsim import kalman, modal, scenario, sensing, structure
+from shmsim import detection, kalman, modal, scenario, sensing, structure
 from shmsim.cli import main as cli_main
 from shmsim.network import IsolatedNodeWarning
 from shmsim.scenario import (
@@ -302,14 +303,25 @@ class TestRunContract:
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(cfg=lossy_faulty_configs())
     def test_validated_config_completes_in_every_mode(self, cfg):
+        """Each mode completes alone, and one comparison over every mode writes each mode's
+        lone tree byte for byte; with losses the centralized modes see views of their own,
+        which are not shared."""
         try:
             validate_config(cfg)
         except ConfigError as err:
             assert err.errors
             return
-        for mode in MODES:
-            with tempfile.TemporaryDirectory() as out:
-                run_scenario(dict(cfg, mode=mode), out)
+        with tempfile.TemporaryDirectory() as out:
+            root = pathlib.Path(out)
+            compare_schemes(cfg, MODES, str(root / "cmp"))
+            for mode in MODES:
+                run_scenario(dict(cfg, mode=mode), str(root / mode))
+                lone = sorted(p.name for p in (root / mode).iterdir())
+                assert sorted(p.name for p in (root / "cmp" / mode).iterdir()) == lone
+                for name in lone:
+                    assert (root / "cmp" / mode / name).read_bytes() == (
+                        root / mode / name
+                    ).read_bytes(), (mode, name)
 
     def test_lossy_training_without_baseline_spread_completes(self, tmp_path):
         """No location keeps two finite baseline curvatures: no baseline, no damage, no warning."""
@@ -550,6 +562,35 @@ class TestModes:
     def test_compare_rejects_unknown_mode(self, tmp_path):
         with pytest.raises(ConfigError):
             compare_schemes(fast_config(), ["dependshm", "teleport"], str(tmp_path / "x"))
+        assert not (tmp_path / "x").exists()  # nothing written for the valid mode before it
+
+    def test_compare_validates_every_mode_before_any_output(self, tmp_path):
+        """An isolated node passes only the frequency-matching baseline's validation."""
+        cfg = fast_config(topology={"r_min": 30.0})
+        validate_config(dict(cfg, mode="frequency_matching_baseline"))
+        with pytest.raises(ConfigError) as err:
+            compare_schemes(cfg, ["frequency_matching_baseline", "dependshm"], str(tmp_path / "x"))
+        assert any(e.startswith("topology:") for e in err.value.errors), err.value.errors
+        assert not (tmp_path / "x").exists()
+
+    def test_compare_computes_shared_work_once(self, tmp_path, monkeypatch):
+        """Without losses every mode sees the same delivered windows: five modes simulate the
+        structure as often as one lone run, and train one MI model between them."""
+        calls = dict.fromkeys(("simulate_response", "train_correlation_model"), 0)
+        counted = ((structure, "simulate_response"), (detection, "train_correlation_model"))
+        for module, name in counted:
+
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        run_scenario(fast_config(), str(tmp_path / "lone"))
+        lone = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        compare_schemes(fast_config(), MODES, str(tmp_path / "cmp"))
+        assert lone["simulate_response"] > 1 and lone["train_correlation_model"] == 1
+        assert calls == lone
 
     def test_frequency_matching_baseline_misses_offsets(self, tmp_path):
         """The NFMC-style baseline cannot see faults that keep spectral peaks."""

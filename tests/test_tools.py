@@ -165,3 +165,45 @@ def test_bench_pairs_verdict_on_one_pair():
     assert bench_pairs.verdict([(1.0, 0.5)], "lower", 0.25) == (
         1, 0, 0, (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), "gain"
     )
+
+
+def test_bench_pairs_overall_line_names_gain_worse_and_unresolved():
+    parent = [1.00, 1.02, 0.98, 1.05, 0.97, 1.01, 1.03, 0.99, 1.04, 1.00]
+    change = [0.70, 0.71, 0.69, 0.72, 0.68, 0.70, 1.10, 0.69, 0.71, 0.70]
+    pairs = _pairs(parent, change)
+    for (a, b), setup in zip(pairs, [(1.0, 2.0), (2.0, 1.0)] * 5):  # overlapping spread
+        a["metrics"]["setup_s"]["value"], b["metrics"]["setup_s"]["value"] = setup
+    pairs[-1][1]["metrics"]["detection_accuracy"]["value"] = 0.5  # one loss moves no median
+    assert bench_pairs.overall_line(pairs, BOUNDS) == (
+        "overall: gain run_s_p50; worse -; unresolved setup_s"
+    )
+    for _, b in pairs:
+        b["metrics"]["detection_accuracy"]["value"] = 0.5
+    assert bench_pairs.overall_line(pairs, BOUNDS) == (
+        "overall: gain run_s_p50; worse detection_accuracy; unresolved setup_s"
+    )
+
+
+@pytest.mark.parametrize("failed, status", [(0, 0), (1, 1)])
+def test_bench_pairs_report_ends_with_the_overall_line(
+    tmp_path, monkeypatch, capsys, failed, status
+):
+    """The overall line comes last, after the verdicts, and leaves the exit status alone."""
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+        (tmp_path / side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        trees.append(str(tmp_path / side))
+    runs = iter([1.0, 0.5, 0.6, 1.0])  # pair 1 runs the parent first, pair 2 the change
+
+    def fake_run(tree, args):
+        return bench_pairs.parse_result(
+            _bench_stdout(next(runs), 0.5, failed=failed if tree == trees[1] else 0)
+        )
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    assert bench_pairs.main([*trees, "--workload", "tenstory", "--pairs", "2"]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:-1] == [line for line in lines if line.startswith("verdict ")]
+    assert lines[-1] == "overall: gain run_s_p50; worse -; unresolved -"

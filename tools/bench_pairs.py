@@ -25,6 +25,9 @@ that PARENT_TREE's ``BENCHMARK.json`` gives the metric:
   parent run;
 - ``no worse``: anything else.
 
+The report ends with one ``overall:`` line naming the metrics whose verdict is
+``gain``, ``worse`` and ``unresolved``.
+
 Exit status is 1 when any run prints no result, is not ``correct`` or has
 ``failed > 0``, 2 on bad arguments and 0 otherwise. Standard library only; it
 runs ``bench/`` as it is and writes nothing there or to ``BENCHMARK.json``.
@@ -155,23 +158,40 @@ def verdict(values, better: str, bound: float) -> tuple:
     return wins, len(values) - wins - losses, losses, (p1, pm, p3), (c1, cm, c3), word
 
 
-def verdict_lines(pairs, bounds: dict) -> list:
-    """One verdict line per end-to-end metric that both runs of some pair report."""
+def verdicts(pairs, bounds: dict) -> dict:
+    """Metric -> ``verdict`` tuple for every end-to-end metric that both runs of some
+    pair report, in name order."""
     values = {}
     for parent, change in pairs:
         a, b = end_to_end(parent), end_to_end(change)
         for name in a.keys() & b.keys():
             values.setdefault(name, []).append((a[name], b[name]))
+    return {
+        name: verdict(pair_values, *bounds[name.rpartition(".")[2]])
+        for name, pair_values in sorted(values.items())
+    }
+
+
+def verdict_lines(pairs, bounds: dict) -> list:
+    """One verdict line per end-to-end metric that both runs of some pair report."""
     lines = []
-    for name, pair_values in sorted(values.items()):
-        better, bound = bounds[name.rpartition(".")[2]]
-        wins, ties, losses, parent, change, word = verdict(pair_values, better, bound)
+    for name, (wins, ties, losses, parent, change, word) in verdicts(pairs, bounds).items():
         sides = "; ".join(
             f"{side} median {q[1]:.6g} q1 {q[0]:.6g} q3 {q[2]:.6g}"
             for side, q in (("parent", parent), ("change", change))
         )
         lines.append(f"verdict {name}: wins {wins} ties {ties} losses {losses}; {sides}; {word}")
     return lines
+
+
+def overall_line(pairs, bounds: dict) -> str:
+    """The metrics whose verdict is gain, worse and unresolved, on one line."""
+    words = {name: v[-1] for name, v in verdicts(pairs, bounds).items()}
+    groups = (
+        f"{word} {' '.join(name for name, w in words.items() if w == word) or '-'}"
+        for word in ("gain", "worse", "unresolved")
+    )
+    return "overall: " + "; ".join(groups)
 
 
 def run_bench(tree: str, args) -> dict | None:
@@ -214,6 +234,7 @@ def main(argv=None) -> int:
     for name, ratio in median_ratios(pairs).items():
         print(f"median ratio {name}: {ratio:.3f}")
     print("\n".join(verdict_lines(pairs, bounds)))
+    print(overall_line(pairs, bounds))
     return 0 if ok else 1
 
 
