@@ -9,10 +9,14 @@ relative MI change against every neighbor,
 
 aggregates per-pair indicators by median and declares itself faulty above
 the decision threshold. MI is reported in nats.
-Samples bin by ``bin_indices``, the rule the missing-sensor scan's KL shares;
-each delivered window is digitised once per round (and once per training
-round), and every pair's joint counts come from those codes. MI is symmetric
-by construction: every cell's term comes from integer counts.
+Samples bin by ``bin_indices``, the rule the missing-sensor scan's KL shares.
+A round's delivered windows (and training's windows of every round) are
+digitised in one stacked pass, once each, and every pair's MI comes from
+those codes through one stacked kernel: one ``bincount`` per chunk of pairs,
+then the marginals, the terms of the occupied cells and one row sort. Each
+pair's result equals the lone ``mutual_information_codes``, which is the
+kernel's one-pair case, bit for bit. MI is symmetric by construction: every
+cell's term comes from integer counts.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from .sensing import is_flat
 
 LAMBDA_MAX = 10.0  # sentinel indicator for degenerate (near-zero MI) pairs
 _OMEGA_EPS = 1e-9
+# elements of a stacked digitisation or MI chunk's largest temporary (128 KiB of
+# float64); longer stacks run in chunks of rows that fit
+MI_BUFFER = 1 << 14
 
 
 class DetectionError(ValueError):
@@ -52,6 +59,85 @@ def bin_indices(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, edges.size - 2)
 
 
+def _digitise(samples: list, edges: list) -> list:
+    """``bin_indices`` of each window over its own edges, in stacked passes.
+
+    A sample's bin is the number of interior edges it does not lie below; that
+    clamps out-of-range samples into the edge bins as ``bin_indices`` does and,
+    like its sorted search, puts NaN in the top bin. Windows of one length and
+    bin count stack into chunks of at most ``MI_BUFFER`` samples, and the codes
+    take the smallest unsigned integer type that holds the top bin.
+    """
+    codes = [None] * len(samples)
+    groups = {}
+    for i, (x, e) in enumerate(zip(samples, edges)):
+        groups.setdefault((x.size, e.size), []).append(i)
+    for (size, n_edges), members in groups.items():
+        step = max(1, MI_BUFFER // max(size, 1))
+        for lo in range(0, len(members), step):
+            rows = members[lo : lo + step]
+            x = np.stack([samples[i] for i in rows])
+            e = np.stack([edges[i] for i in rows])
+            top = n_edges - 2
+            c = np.full(x.shape, top, dtype=np.min_scalar_type(top))
+            below = np.empty(x.shape, dtype=bool)
+            for j in range(1, n_edges - 1):
+                c -= np.less(x, e[:, j, None], out=below)
+            for i, row in zip(rows, c):
+                codes[i] = row
+    return codes
+
+
+def _mi_kernel(codes_u: np.ndarray, codes_v: np.ndarray, bins) -> list:
+    """Binned MI (nats) of each row pair of two (k, n) code stacks with bins (nu, nv).
+
+    One ``bincount`` over row-offset joint codes gives every row's joint
+    counts; each row's occupied terms sort to the front of its row and sum
+    with ``np.sum`` over exactly that prefix, the sum a lone pair takes.
+    """
+    nu, nv = bins
+    k, n = codes_u.shape
+    if n < nu * nv / 10:
+        warnings.warn(
+            f"{n} samples for {nu * nv} histogram cells; MI estimate is unreliable",
+            UnreliableEstimateWarning,
+        )
+    cells = nu * nv
+    joint_codes = np.asarray(codes_u, dtype=np.intp) * nv
+    joint_codes += codes_v
+    joint_codes += np.arange(0, k * cells, cells)[:, None]
+    counts = np.bincount(joint_codes.ravel(), minlength=k * cells).reshape(k, nu, nv)
+    nz = counts > 0
+    joint = counts[nz] / n
+    outer = (counts.sum(axis=2) / n)[:, :, None] * (counts.sum(axis=1) / n)[:, None, :]
+    terms = np.full((k, cells), np.inf)
+    terms[nz.reshape(k, cells)] = joint * np.log(joint / outer[nz])
+    terms.sort(axis=1)
+    return [max(float(np.sum(row[:m])), 0.0) for row, m in zip(terms, nz.sum(axis=(1, 2)))]
+
+
+def _pair_mi(codes: list, pairs: list, bins: list) -> list:
+    """MI of each (u, v) pair of indices into ``codes``, whose bins are the matching ``bins``.
+
+    Pairs of one window length and bin pair run through ``_mi_kernel`` in
+    chunks whose joint codes and cell table fit in ``MI_BUFFER`` elements.
+    """
+    out = [None] * len(pairs)
+    groups = {}
+    for p, ((u, v), b) in enumerate(zip(pairs, bins)):
+        if codes[u].size != codes[v].size:
+            raise DetectionError(f"window length mismatch: {codes[u].size} vs {codes[v].size}")
+        groups.setdefault((codes[u].size, *b), []).append(p)
+    for (n, nu, nv), members in groups.items():
+        step = max(1, MI_BUFFER // max(n, nu * nv))
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            cu, cv = (np.stack([codes[pairs[p][side]] for p in chunk]) for side in (0, 1))
+            for p, mi in zip(chunk, _mi_kernel(cu, cv, (nu, nv))):
+                out[p] = mi
+    return out
+
+
 def mutual_information_codes(codes_u, codes_v, bins) -> float:
     """Binned MI (nats) of two windows already digitised by ``bin_indices``.
 
@@ -59,22 +145,11 @@ def mutual_information_codes(codes_u, codes_v, bins) -> float:
     skipped. The joint and both marginals are integer counts divided by the
     window length, so every cell's term is the same float under
     (u, v) <-> (v, u), and the sorted sum makes the result symmetric bit for bit.
+    This is the one-pair case of the stacked kernel that rounds and training use.
     """
     if codes_u.size != codes_v.size:
         raise DetectionError(f"window length mismatch: {codes_u.size} vs {codes_v.size}")
-    nu, nv = bins
-    n = codes_u.size
-    if n < nu * nv / 10:
-        warnings.warn(
-            f"{n} samples for {nu * nv} histogram cells; MI estimate is unreliable",
-            UnreliableEstimateWarning,
-        )
-    counts = np.bincount(codes_u * nv + codes_v, minlength=nu * nv).reshape(nu, nv)
-    nz = counts > 0
-    joint = counts[nz] / n
-    outer = np.outer(counts.sum(axis=1) / n, counts.sum(axis=0) / n)
-    terms = joint * np.log(joint / outer[nz])
-    return max(float(np.sum(np.sort(terms))), 0.0)
+    return _mi_kernel(np.reshape(codes_u, (1, -1)), np.reshape(codes_v, (1, -1)), bins)[0]
 
 
 def mutual_information_binned(u, v, edges) -> float:
@@ -184,24 +259,36 @@ def train_correlation_model(fault_free_windows: dict, config: DetectionConfig, p
             degenerate.add(ch)
             warnings.warn(f"channel {ch} is constant in training data", DegenerateSignalWarning)
         edges[ch] = default_edges(cat, config.bins)
-    # each delivered training window is digitised once, whatever its pairs
-    codes = {
-        ch: [None if w is None else bin_indices(_samples(w), edges[ch]) for w in windows]
-        for ch, windows in fault_free_windows.items()
-        if ch in edges
-    }
-    omega_ref = {}
+    # every delivered training window is digitised once, whatever its pairs
+    row = {}  # (channel, round) -> index of its codes
+    samples, row_edges = [], []
+    for ch, windows in fault_free_windows.items():
+        if ch in edges:
+            for d, w in enumerate(windows):
+                if w is not None:
+                    row[ch, d] = len(samples)
+                    samples.append(_samples(w))
+                    row_edges.append(edges[ch])
+    codes = _digitise(samples, row_edges)
+    trained = {}  # pair -> its (pair-row) span, or None for a zero reference
+    mi_pairs, mi_bins = [], []
     for (i, j) in pairs:
-        rounds = zip(codes.get(i, ()), codes.get(j, ()))
-        both = [(u, v) for u, v in rounds if u is not None and v is not None]
+        rounds = range(min(len(fault_free_windows[i]), len(fault_free_windows[j])))
+        both = [(row[i, d], row[j, d]) for d in rounds if (i, d) in row and (j, d) in row]
         if len(both) < config.R:
             continue
         if i in degenerate or j in degenerate:
-            omega_ref[(i, j)] = 0.0
+            trained[(i, j)] = None
             continue
-        bins = (edges[i].size - 1, edges[j].size - 1)
-        vals = [mutual_information_codes(u, v, bins) for u, v in both]
-        omega_ref[(i, j)] = float(np.mean(vals))
+        trained[(i, j)] = slice(len(mi_pairs), len(mi_pairs) + len(both))
+        mi_pairs += both
+        mi_bins += [(edges[i].size - 1, edges[j].size - 1)] * len(both)
+    # every (pair, round) row goes through the stacked kernel in one pass
+    values = _pair_mi(codes, mi_pairs, mi_bins)
+    omega_ref = {
+        key: 0.0 if span is None else float(np.mean(values[span]))
+        for key, span in trained.items()
+    }
     return CorrelationModel(edges=edges, omega_ref=omega_ref, degenerate_channels=degenerate)
 
 
@@ -243,10 +330,10 @@ def detection_round(
 
     ``windows`` maps channel id -> SignalWindow (or None when that channel
     delivered nothing). A pair the model left untrained is skipped like an
-    undelivered one. Each delivered neighbor pair's indicator is computed
-    once, the first time either node asks for it, and every decision reads it
-    from that per-round table. Every node first decides from all its neighbor
-    pairs, then the verdicts are exchanged and nodes re-aggregate with
+    undelivered one. Every delivered, trained neighbor pair's indicator is
+    computed once, up front through the stacked MI kernel, and every decision
+    reads it from that per-round table. Every node first decides from all its
+    neighbor pairs, then the verdicts are exchanged and nodes re-aggregate with
     faulty-flagged neighbors' pairs dropped (unless none would remain).
     Exoneration proceeds in ascending-indicator order and repeats until no
     verdict changes: a healthy node freed of a contaminated pair in one sweep
@@ -255,21 +342,27 @@ def detection_round(
     is faulty outright (its neighbors cannot see it; the missing-sensor scan
     refines that verdict later). Returns node id -> NodeDecision.
     """
-    # each delivered window is digitised once over its channel's trained edges
-    codes = {
-        ch: bin_indices(_samples(w), model.edges[ch])
-        for ch, w in windows.items()
-        if w is not None and ch in model.edges
-    }
-    table = {}  # pair key -> indicator
-
-    def indicator(i, j):
-        key = CorrelationModel.pair_key(i, j)
-        if key not in table:
-            bins = (model.edges[i].size - 1, model.edges[j].size - 1)
-            omega = mutual_information_codes(codes[i], codes[j], bins)
-            table[key] = fault_indicator(omega, model.reference(i, j))
-        return table[key]
+    # the pair table: every delivered, trained neighbor pair, evaluated once up front
+    keys = sorted(
+        {
+            model.pair_key(i, j)
+            for i in neighbor_map
+            if windows.get(i) is not None
+            for j in neighbor_map[i]
+            if j != i and windows.get(j) is not None and model.pair_key(i, j) in model.omega_ref
+        }
+    )
+    channels = sorted({ch for key in keys for ch in key})
+    row = {ch: r for r, ch in enumerate(channels)}
+    codes = _digitise(
+        [_samples(windows[ch]) for ch in channels], [model.edges[ch] for ch in channels]
+    )
+    omegas = _pair_mi(
+        codes,
+        [(row[i], row[j]) for i, j in keys],
+        [(model.edges[i].size - 1, model.edges[j].size - 1) for i, j in keys],
+    )
+    table = {key: fault_indicator(omega, model.omega_ref[key]) for key, omega in zip(keys, omegas)}
 
     def decide(node, flagged=frozenset()):
         neighbors = sorted(set(neighbor_map[node]) - {node})
@@ -278,7 +371,7 @@ def detection_round(
         if windows.get(node) is None:
             return NodeDecision(node, round_index, {}, LAMBDA_MAX, "faulty")
         trained = [j for j in neighbors if model.pair_key(node, j) in model.omega_ref]
-        lambdas = {j: indicator(node, j) for j in trained if windows.get(j) is not None}
+        lambdas = {j: table[model.pair_key(node, j)] for j in trained if windows.get(j) is not None}
         if not lambdas:
             # no neighbor pair is both delivered and trained this round: the node
             # cannot be assessed, so it keeps the initial non-faulty decision

@@ -11,9 +11,13 @@ the filter reconstruct them from the healthy channels and the model.
 The filter is stationary: its gain comes from the steady Riccati covariance,
 so the state obeys a linear recurrence with one fixed matrix, and a whole
 block runs as a log-depth (Hillis-Steele) prefix scan rather than one step
-per sample. The missing-sensor scan's leave-one-out filters differ only in
-their measurement noise, so they run as one stacked batch through the same
-doubling solve and scan; ``run_filter`` is that path with a batch of one.
+per sample. The doubling solve and the scan run on stacks of systems, each
+with its own A, H, Q, R and block or sharing them: the missing-sensor scan's
+leave-one-out filters differ only in their measurement noise, and a round's
+reconstructions (``reconstruct_round``) stack every filter of one state
+dimension, channel count and block length. Every system's result equals its
+lone run bit for bit; ``run_filter`` and ``reconstruct_signals`` are the
+stacks of one.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .structure import StructureSpec, discrete_state_space
 
 # histogram bins of the missing-sensor scan's KL divergence
 SCAN_BINS = 16
-# elements of a prefix-scan pass's temporary (256 KiB of float64); a pass over a
-# larger stack runs in chunks of rows that fit
-SCAN_BUFFER = 1 << 15
+# elements of a prefix-scan pass's temporary (128 KiB of float64); a pass runs in
+# tiles of rows and systems that fit, and a round's reconstructions stack by it
+SCAN_BUFFER = 1 << 14
 
 
 class KalmanError(ValueError):
@@ -146,20 +150,21 @@ def filter_for_structure(
 
 
 def _noise_information(h, r):
-    """H^T R^-1 H for each R of the (k, m, m) stack.
+    """H^T R^-1 H for each R of the (k, m, m) stack; ``h`` is shared or a (k, m, n) stack.
 
     Raises KalmanError for the first R that cannot be solved, with the message
     that R alone would get.
     """
     with np.errstate(all="ignore"):
         try:
-            g = h.T @ np.linalg.solve(r, h)
+            g = h.mT @ np.linalg.solve(r, h)
         except np.linalg.LinAlgError:
             g = np.nan
         if np.isfinite(g).all():
             return g
         if len(r) > 1:  # one system at a time, to name the first singular R
-            return np.concatenate([_noise_information(h, r_i[None]) for r_i in r])
+            hs = np.broadcast_to(h, (len(r), *h.shape[-2:]))
+            return np.concatenate([_noise_information(h_i, r_i[None]) for h_i, r_i in zip(hs, r)])
         raise KalmanError(
             f"singular measurement noise covariance (condition number {np.linalg.cond(r[0]):.3e})"
         )
@@ -169,21 +174,21 @@ def _steady_prior_covariance(a, h, q, r):
     """Stabilising solutions P of the filter Riccati equation, by doubling, one per R.
 
     P = A P A^T + Q - A P H^T (H P H^T + R)^-1 H P A^T is the steady prior
-    covariance (Anderson & Moore, *Optimal Filtering*, 1979). A, H and Q are
-    shared and ``r`` is a (k, m, m) stack; the result is (k, n, n). Each
-    doubling step takes the recursion from Q over twice as many steps
-    (Anderson, "Second-order convergent algorithms for the steady-state Riccati
-    equation", Int. J. Control 28(2), 1978). The systems double together, and
-    each one is set aside once its own P no longer changes, which happens at
-    the latest when its doubled closed-loop transition underflows to zero. So
-    every slice is the solve of that system alone, and a system that fails
-    raises the error it would raise alone.
+    covariance (Anderson & Moore, *Optimal Filtering*, 1979). ``r`` is a
+    (k, m, m) stack, and A, H and Q are shared or stacks of k; the result is
+    (k, n, n). Each doubling step takes the recursion from Q over twice as
+    many steps (Anderson, "Second-order convergent algorithms for the
+    steady-state Riccati equation", Int. J. Control 28(2), 1978). The systems
+    double together, and each one is set aside once its own P no longer
+    changes, which happens at the latest when its doubled closed-loop
+    transition underflows to zero. So every slice is the solve of that system
+    alone, and a system that fails raises the error it would raise alone.
     """
-    k, n = len(r), a.shape[0]
+    k, n = len(r), a.shape[-1]
     g = _noise_information(h, r)
     steady = np.empty((k, n, n))
     todo = np.arange(k)  # systems still doubling
-    a_k, p = np.broadcast_to(a.T, (k, n, n)), np.broadcast_to(q, (k, n, n))
+    a_k, p = np.broadcast_to(a.mT, (k, n, n)), np.broadcast_to(q, (k, n, n))
     with np.errstate(all="ignore"):
         for doubling in range(1, 65):
             try:
@@ -210,55 +215,80 @@ def _steady_prior_covariance(a, h, q, r):
     raise KalmanError(f"the filter Riccati equation has no finite steady state (doubling {doubling})")
 
 
-def _stationary_filters(a, h, q, r, x0, measurements):
-    """Run k stationary filters that share A, H, Q, the initial state and the block.
+def _stationary_gains(a, h, q, r):
+    """Steady prior covariances P and transposed stationary gains K^T, one per R.
 
-    ``r`` is the (k, m, m) stack of measurement noise covariances and
-    ``measurements`` the (m, T) block. Each filter's gain K = P H^T
-    (H P H^T + R)^-1 comes from its steady prior covariance P, so its
-    posterior state follows x_t = x_{t-1} F + K m_t (row vectors) with one
-    fixed F = (A - K H A)^T. That linear recurrence runs as a Hillis-Steele
-    prefix scan (Blelloch, CMU-CS-90-190, 1990): pass s adds x_{t-s} F^s to
-    every row t >= s, with s doubling and F squared after each pass, so T
-    samples take ceil(log2(T + 1)) passes over the whole stack. A pass runs in
-    chunks of rows whose products fit in ``SCAN_BUFFER`` elements, so a large
-    stack adds no second stack-sized temporary. A closed loop with an
-    eigenvalue outside the unit circle (only a growing mode that no process
-    noise drives and no channel measures has one) raises KalmanError once a
-    power of F overflows. Returns (xs, p, gain_t): the (k, T + 1, n)
-    posterior states with row 0 the initial state, the steady prior
-    covariances and the transposed gains.
+    Stacks as ``_steady_prior_covariance`` does; K = P H^T (H P H^T + R)^-1.
     """
-    n_steps = measurements.shape[1]
     p = _steady_prior_covariance(a, h, q, r)
     hp = h @ p
-    gain_t = np.linalg.solve(hp @ h.T + r, hp)  # K^T = S^-1 H P
+    return p, np.linalg.solve(hp @ h.mT + r, hp)  # K^T = S^-1 H P
+
+
+def _scan_tiles(n_steps: int, n: int) -> tuple:
+    """(rows, systems) of a prefix-scan tile: a lone system's rows, and as many systems
+    as fit in ``SCAN_BUFFER`` elements with them."""
+    rows = max(1, min(n_steps, SCAN_BUFFER // n))
+    return rows, max(1, SCAN_BUFFER // (rows * n))
+
+
+def _prefix_scan(a, h, gain_t, x0, measurements):
+    """(k, T + 1, n) posterior states of k stationary filters, row 0 the initial state.
+
+    ``gain_t`` is the (k, m, n) stack of transposed gains; A, H, the initial
+    state and the (m, T) block are shared or stacks of k. A filter's posterior
+    state follows x_t = x_{t-1} F + K m_t (row vectors) with one fixed
+    F = (A - K H A)^T. That linear recurrence runs as a Hillis-Steele prefix
+    scan (Blelloch, CMU-CS-90-190, 1990): pass s adds x_{t-s} F^s to every row
+    t >= s, with s doubling and F squared after each pass, so T samples take
+    ceil(log2(T + 1)) passes over the whole stack. A pass runs in the tiles of
+    ``_scan_tiles``, so a large stack adds no second stack-sized temporary and
+    every system's states are the same products as its lone run's. A closed
+    loop with an eigenvalue outside the unit circle (only a growing mode that
+    no process noise drives and no channel measures has one) raises
+    KalmanError once a power of F overflows.
+    """
+    n_steps = measurements.shape[-1]
     power = (a - gain_t.mT @ (h @ a)).mT  # F, then F^2, F^4, ...
-    k, n = len(r), a.shape[0]
+    k, n = len(gain_t), a.shape[-1]
     xs = np.empty((k, n_steps + 1, n))
     xs[:, 0] = x0
-    np.matmul(measurements.T, gain_t, out=xs[:, 1:])  # the drive K m_t
-    chunk = max(1, min(n_steps, SCAN_BUFFER // (k * n)))
-    carry = np.empty((k, chunk, n))  # x_{t-s} F^s of one chunk of rows
+    np.matmul(measurements.mT, gain_t, out=xs[:, 1:])  # the drive K m_t
+    rows, width = _scan_tiles(n_steps, n)
+    carry = np.empty((min(k, width), rows, n))  # x_{t-s} F^s of one tile
     s = 1
     while True:
-        # chunks from the end backwards: a chunk reads rows below its own end only,
-        # which no earlier chunk of this pass has changed
+        # row tiles from the end backwards: a tile reads rows below its own end only,
+        # which no earlier tile of this pass has changed
         hi = n_steps + 1
         while hi > s:
-            lo = max(s, hi - chunk)
-            np.matmul(xs[:, lo - s : hi - s], power, out=carry[:, : hi - lo])
-            xs[:, lo:hi] += carry[:, : hi - lo]
+            lo = max(s, hi - rows)
+            for b in range(0, k, width):
+                e = min(k, b + width)
+                tile = carry[: e - b, : hi - lo]
+                np.matmul(xs[b:e, lo - s : hi - s], power[b:e], out=tile)
+                xs[b:e, lo:hi] += tile
             hi = lo
         s *= 2
         if s > n_steps:
-            return xs, p, gain_t
+            return xs
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ power
         if not np.isfinite(power).all():
             raise KalmanError(
                 f"the filter's closed loop is unstable: F^{s} overflows within {n_steps} samples"
             )
+
+
+def _stationary_filters(a, h, q, r, x0, measurements):
+    """Run k stationary filters, each with its own R, sharing or stacking the rest.
+
+    ``r`` is the (k, m, m) stack of measurement noise covariances; A, H, Q, the
+    initial state and the (m, T) block are shared or stacks of k. Returns
+    (xs, p, gain_t): the ``_prefix_scan`` states under the ``_stationary_gains``.
+    """
+    p, gain_t = _stationary_gains(a, h, q, r)
+    return _prefix_scan(a, h, gain_t, x0, measurements), p, gain_t
 
 
 def run_filter(state: KalmanFilterState, measurements: np.ndarray):
@@ -288,9 +318,12 @@ def run_filter(state: KalmanFilterState, measurements: np.ndarray):
     xs, p, gain_t = xs[0], p[0], gain_t[0]
     p_post = p - gain_t.T @ (h @ p)
     state.x, state.P, state.gain = xs[-1].copy(), 0.5 * (p_post + p_post.T), gain_t.T
-    est = h @ xs[1:].T
-    innov = measurements - (h @ a) @ xs[:-1].T
-    return est, innov
+    return _outputs(a, h, xs, measurements)
+
+
+def _outputs(a, h, xs, measurements):
+    """(estimates H x_post, innovations m_t - H x_prior) of one filter's (T + 1, n) states."""
+    return h @ xs[1:].T, measurements - (h @ a) @ xs[:-1].T
 
 
 @dataclass
@@ -348,6 +381,141 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
     return ref, block, make_filter
 
 
+@dataclass
+class _Job:
+    """One reconstruction's channels, faulty set, first delivered window, block and filter."""
+
+    channels: list
+    faulty: list
+    ref: SignalWindow
+    block: np.ndarray  # (channels, T)
+    state: KalmanFilterState
+
+
+def _reconstruction_job(faulty_set, all_windows, structure, config, noise_var):
+    """The filter job of one reconstruction, or None when no channel is faulty."""
+    channels = sorted(all_windows)
+    faulty = set(faulty_set) | {ch for ch in channels if all_windows[ch] is None}
+    if not faulty:
+        return None
+    healthy = [ch for ch in channels if ch not in faulty]
+    if len(faulty) >= len(healthy):
+        raise KalmanError(
+            f"cannot reconstruct {sorted(faulty)}: only {len(healthy)} healthy channels "
+            f"({healthy}) are available for coverage"
+        )
+    ref, block, make_filter = _scoped_filter(
+        structure, all_windows, channels, healthy, config, noise_var
+    )
+    return _Job(channels, sorted(faulty), ref, block, make_filter(faulty))
+
+
+def _filter_outputs(jobs: list):
+    """Yield each job's ``run_filter`` (estimates, innovations), or the KalmanError it raises.
+
+    One doubling solve serves every job, and the prefix scans run in stacks of
+    as many jobs as one scan tile spans, each made as the outputs are consumed,
+    so the states of one such stack at most are alive. Jobs whose solve or scan
+    fails are run again through ``run_filter`` one at a time, which only the
+    error path pays.
+    """
+
+    def lone(part):
+        for job in part:
+            try:
+                yield run_filter(job.state, job.block)
+            except KalmanError as err:
+                yield err.with_traceback(None)  # a kept error holds no frame, nor its arrays
+
+    a, h, q, r, x0 = (
+        np.stack([getattr(job.state, name) for job in jobs])
+        for name in ("transition", "measurement", "process_noise", "measurement_noise", "x")
+    )
+    try:
+        gain_t = _stationary_gains(a, h, q, r)[1]
+    except KalmanError:
+        yield from lone(jobs)
+        return
+    width = _scan_tiles(jobs[0].block.shape[1], a.shape[-1])[1]
+    for b in range(0, len(jobs), width):
+        part = slice(b, b + width)
+        blocks = np.stack([job.block for job in jobs[part]])
+        try:
+            xs = _prefix_scan(a[part], h[part], gain_t[part], x0[part], blocks)
+        except KalmanError:
+            yield from lone(jobs[part])
+            continue
+        for job, states in zip(jobs[part], xs):
+            yield _outputs(job.state.transition, job.state.measurement, states, job.block)
+
+
+def _results(job: _Job, est: np.ndarray, innov: np.ndarray, round_index: int, truth) -> list:
+    """One ReconstructionResult per faulty channel of ``job`` from its filter outputs."""
+    results = []
+    for ch in job.faulty:
+        row = job.channels.index(ch)
+        rec_window = SignalWindow(
+            sensor_id=ch,
+            start_time=job.ref.start_time,
+            dt=job.ref.dt,
+            samples=est[row].copy(),  # a row, not all of ``est``, outlives the round
+            round_index=round_index,
+        )
+        quality = None
+        if truth is not None and ch in truth:
+            t = np.asarray(truth[ch], dtype=float)
+            denom = float(np.std(est[row]) * np.std(t))
+            corr = 0.0 if denom == 0 else float(np.corrcoef(est[row], t)[0, 1])
+            quality = max(0.0, min(1.0, corr))
+        results.append(
+            ReconstructionResult(
+                sensor_id=ch, reconstructed=rec_window, residual=innov[row].copy(), quality=quality
+            )
+        )
+    return results
+
+
+def reconstruct_round(
+    jobs,
+    structure: StructureSpec,
+    round_index: int = 0,
+    config: ReconstructionConfig | None = None,
+    noise_var: dict | None = None,
+    truth: dict | None = None,
+) -> list:
+    """Run one round's reconstructions, each a ``(faulty_set, all_windows)`` job.
+
+    Returns, per job in order, what ``reconstruct_signals(faulty_set,
+    all_windows, structure, ...)`` returns, or the KalmanError that call
+    raises. Jobs whose filters share state dimension n, channel count and
+    block length run together: one doubling solve per stack of at most
+    ``SCAN_BUFFER // n^2`` jobs, and their prefix scans in stacks of one
+    scan tile (see ``_filter_outputs``). Each job's results equal its lone
+    call's bit for bit.
+    """
+    config = config or ReconstructionConfig()
+    out = [None] * len(jobs)
+    groups = {}  # (state dim, rows, T) -> [(job index, job)]
+    for i, (faulty_set, all_windows) in enumerate(jobs):
+        try:
+            job = _reconstruction_job(faulty_set, all_windows, structure, config, noise_var)
+        except KalmanError as err:
+            out[i] = err.with_traceback(None)
+            continue
+        if job is None:
+            out[i] = []
+            continue
+        groups.setdefault((job.state.x.size, *job.block.shape), []).append((i, job))
+    for (n, _, _), members in groups.items():
+        step = max(1, SCAN_BUFFER // (n * n))
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            for (i, job), outputs in zip(chunk, _filter_outputs([job for _, job in chunk])):
+                failed = isinstance(outputs, KalmanError)
+                out[i] = outputs if failed else _results(job, *outputs, round_index, truth)
+    return out
+
+
 def reconstruct_signals(
     faulty_set,
     all_windows: dict,
@@ -364,44 +532,13 @@ def reconstruct_signals(
     substitute stream. ``noise_var`` holds healthy per-channel measurement
     noise variances (bootstrapped residual variances in the harness).
     Channel ids are structural DOFs. Returns one ReconstructionResult per
-    faulty channel.
+    faulty channel. This is the one-job case of ``reconstruct_round``.
     """
-    config = config or ReconstructionConfig()
-    channels = sorted(all_windows)
-    faulty = set(faulty_set) | {ch for ch in channels if all_windows[ch] is None}
-    if not faulty:
-        return []
-    healthy = [ch for ch in channels if ch not in faulty]
-    if len(faulty) >= len(healthy):
-        raise KalmanError(
-            f"cannot reconstruct {sorted(faulty)}: only {len(healthy)} healthy channels "
-            f"({healthy}) are available for coverage"
-        )
-    ref, block, make_filter = _scoped_filter(
-        structure, all_windows, channels, healthy, config, noise_var
+    (results,) = reconstruct_round(
+        [(faulty_set, all_windows)], structure, round_index, config, noise_var, truth
     )
-    est, innov = run_filter(make_filter(faulty), block)
-    results = []
-    for ch in sorted(faulty):
-        row = channels.index(ch)
-        rec_window = SignalWindow(
-            sensor_id=ch,
-            start_time=ref.start_time,
-            dt=ref.dt,
-            samples=est[row],
-            round_index=round_index,
-        )
-        quality = None
-        if truth is not None and ch in truth:
-            t = np.asarray(truth[ch], dtype=float)
-            denom = float(np.std(est[row]) * np.std(t))
-            corr = 0.0 if denom == 0 else float(np.corrcoef(est[row], t)[0, 1])
-            quality = max(0.0, min(1.0, corr))
-        results.append(
-            ReconstructionResult(
-                sensor_id=ch, reconstructed=rec_window, residual=innov[row], quality=quality
-            )
-        )
+    if isinstance(results, KalmanError):
+        raise results
     return results
 
 

@@ -442,13 +442,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _cells(column) -> list:
+    """A column's CSV cells as ``_fmt`` writes them, with one formatter picked per column."""
+    kinds = set(map(type, column))
+    if kinds <= {float, np.float64}:
+        return ["" if x != x else f"{x:.12g}" for x in column]
+    if not any(issubclass(kind, (float, np.floating)) for kind in kinds):
+        return list(map(str, column))
+    return list(map(_fmt, column))
+
+
 def _write_csv(path: str, schema: str, header: list, rows):
+    """Write a schema-tagged CSV of equal-length ``rows``, formatted column by column."""
+    columns = [_cells(column) for column in zip(*rows, strict=True)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {FORMAT_VERSION}/{schema}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*columns))
 
 
 def read_csv(path: str):
@@ -828,18 +839,16 @@ def _reconstruct(run: _Run, d: int, view: dict, flagged: list, clean: np.ndarray
         ]
     else:
         batches = [(flagged, list(range(cfg.n_nodes)))]
-    for faulty, scope in batches:
-        try:
-            results = kal.reconstruct_signals(
-                faulty,
-                {c: view[c] for c in scope},
-                cfg.spec,
-                round_index=d,
-                config=cfg.reconstruction,
-                noise_var=run.noise_var,
-                truth=truth,
-            )
-        except kal.KalmanError:
+    outcomes = kal.reconstruct_round(
+        [(faulty, {c: view[c] for c in scope}) for faulty, scope in batches],
+        cfg.spec,
+        round_index=d,
+        config=cfg.reconstruction,
+        noise_var=run.noise_var,
+        truth=truth,
+    )
+    for (faulty, scope), results in zip(batches, outcomes):
+        if isinstance(results, kal.KalmanError):
             continue
         if policy.distributed:
             helper = min(c for c in scope if c not in faulty)

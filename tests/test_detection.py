@@ -1,5 +1,7 @@
 """MII detection tests: estimator oracles, indicator contracts, decisions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,131 @@ class TestBinCodes:
             assert omega_ref == float(np.mean(vals))
 
 
+def _lone_mi(codes_u, codes_v, bins):
+    """The per-pair MI the stacked kernel must equal: one bincount, one sorted sum."""
+    nu, nv = bins
+    n = codes_u.size
+    counts = np.bincount(codes_u * nv + codes_v, minlength=nu * nv).reshape(nu, nv)
+    nz = counts > 0
+    joint = counts[nz] / n
+    outer = np.outer(counts.sum(axis=1) / n, counts.sum(axis=0) / n)
+    terms = joint * np.log(joint / outer[nz])
+    return max(float(np.sum(np.sort(terms))), 0.0)
+
+
+def _code_pairs(seed, count, n, bins):
+    """``count`` correlated code pairs of length n whose occupancy ranges from one cell
+    to nearly every cell: each pair draws its own spread and coupling."""
+    rng = np.random.default_rng(seed)
+    nu, nv = bins
+    codes = []
+    for _ in range(count):
+        spread = rng.choice([0.0, 0.3, 1.0, 3.0, 100.0])
+        latent = rng.standard_normal(n)
+        coupled = rng.uniform(0, 1) * latent + rng.standard_normal(n)
+        for x, b in ((latent, nu), (coupled, nv)):
+            c = np.rint(b / 2 + spread * x * b / 6).astype(np.intp)
+            codes.append(np.clip(c, 0, b - 1))
+    return codes
+
+
+def _stacked(codes, bins):
+    """``_pair_mi`` over consecutive (u, v) entries of ``codes``, with the bins of each pair."""
+    pairs = [(i, i + 1) for i in range(0, len(codes), 2)]
+    bins = bins if isinstance(bins, list) else [bins] * len(pairs)
+    return detection._pair_mi(codes, pairs, bins), pairs, bins
+
+
+class TestStackedKernel:
+    """The stacked MI kernel and digitisation against the per-pair reference, bit for bit."""
+
+    @pytest.mark.parametrize("bins", [(16, 16), (16, 9), (5, 23)])
+    @pytest.mark.parametrize("n", [550, 60])
+    def test_uneven_occupancy_equals_lone_pairs(self, bins, n):
+        codes = _code_pairs(11, 300, n, bins)
+        got, pairs, _ = _stacked(codes, bins)
+        want = [_lone_mi(codes[u], codes[v], bins) for u, v in pairs]
+        assert got == want
+        assert [mutual_information_codes(codes[u], codes[v], bins) for u, v in pairs] == want
+        occupied = [np.unique(codes[u] * bins[1] + codes[v]).size for u, v in pairs]
+        assert min(occupied) == 1 and max(occupied) > 40
+
+    @pytest.mark.parametrize("bins, n", [((16, 16), 20_000), ((32, 32), 6_000)])
+    def test_more_than_128_occupied_cells(self, bins, n):
+        """Past 128 terms numpy's pairwise sum splits into blocks; the prefix sum follows it."""
+        rng = np.random.default_rng(12)
+        codes = [rng.integers(0, b, n) for _ in range(20) for b in bins]
+        got, pairs, _ = _stacked(codes, bins)
+        occupied = [np.unique(codes[u] * bins[1] + codes[v]).size for u, v in pairs]
+        assert min(occupied) > 128
+        assert got == [_lone_mi(codes[u], codes[v], bins) for u, v in pairs]
+
+    def test_mixed_bins_and_lengths_in_one_call(self):
+        groups = [((16, 16), 550), ((16, 9), 550), ((16, 16), 300), ((7, 4), 30)]
+        codes, bins = [], []
+        for seed, (b, n) in enumerate(groups):
+            codes += _code_pairs(seed, 25, n, b)
+            bins += [b] * 25
+        # interleave the groups so every chunk gathers from all over the code list
+        order = np.random.default_rng(3).permutation(len(bins))
+        codes = [c for p in order for c in codes[2 * p : 2 * p + 2]]
+        bins = [bins[p] for p in order]
+        got, pairs, _ = _stacked(codes, bins)
+        assert got == [_lone_mi(codes[u], codes[v], b) for (u, v), b in zip(pairs, bins)]
+
+    @pytest.mark.parametrize("buffer", [1, 550, 1100, 1651, 1 << 20])
+    def test_chunk_boundaries(self, monkeypatch, buffer):
+        """Chunks of 1, 1, 2 and 3 rows, and one chunk for every row, give the same values."""
+        codes = _code_pairs(5, 40, 550, (16, 16))
+        want = [_lone_mi(codes[u], codes[v], (16, 16)) for u, v in _stacked(codes, (16, 16))[1]]
+        monkeypatch.setattr(detection, "MI_BUFFER", buffer)
+        assert _stacked(codes, (16, 16))[0] == want
+
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_undersampled_stack_warns(self, n):
+        """n below bins^2 / 10 (25.6 for 16 x 16) warns; the values still equal the lone ones."""
+        codes = _code_pairs(6, 4, n, (16, 16))
+        with pytest.warns(UnreliableEstimateWarning):
+            got, pairs, _ = _stacked(codes, (16, 16))
+        assert got == [_lone_mi(codes[u], codes[v], (16, 16)) for u, v in pairs]
+        if n == 1:
+            assert got == [0.0] * 4
+
+    def test_enough_samples_do_not_warn(self):
+        codes = _code_pairs(6, 4, 26, (16, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnreliableEstimateWarning)
+            _stacked(codes, (16, 16))
+
+    def test_length_mismatch_named(self):
+        with pytest.raises(DetectionError, match="5 vs 6"):
+            detection._pair_mi([np.zeros(5, int), np.zeros(6, int)], [(0, 1)], [(4, 4)])
+
+    @pytest.mark.parametrize("buffer", [1, 700, detection.MI_BUFFER])
+    def test_stacked_digitisation_equals_bin_indices(self, monkeypatch, buffer):
+        """NaN, +-inf, samples exactly on edges and far outside them, in windows of two
+        lengths and three bin counts, one of them degenerate (equal edges)."""
+        monkeypatch.setattr(detection, "MI_BUFFER", buffer)
+        rng = np.random.default_rng(21)
+        samples, edges = [], []
+        for i in range(30):
+            n = (300, 550)[i % 2]
+            e = default_edges(rng.standard_normal(50), (16, 9, 4)[i % 3])
+            if i % 7 == 0:
+                e = np.full(17, 0.25)
+            x = 1.5 * rng.standard_normal(n)
+            hit = rng.random(n) < 0.3
+            x[hit] = rng.choice(e, size=int(hit.sum()))
+            x[:6] = [np.nan, np.inf, -np.inf, e[0], e[-1], -0.0]
+            x[6:8] = [1e300, -1e300]
+            samples.append(x)
+            edges.append(e)
+        codes = detection._digitise(samples, edges)
+        for x, e, c in zip(samples, edges, codes):
+            assert np.array_equal(c, bin_indices(x, e))
+        assert codes[0][0] == edges[0].size - 2  # NaN lands in the top bin
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(values=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8))
 def test_decision_median_equals_numpy_median(values):
@@ -417,7 +544,7 @@ class TestDecideFaulty:
             detection_round(windows, neighbor_map, model, config)
 
     def test_one_mi_evaluation_per_delivered_pair(self, bench, monkeypatch):
-        """Re-decisions read the round's pair table instead of recomputing MI."""
+        """Each delivered, trained pair's MI is evaluated once per round, and no other pair's."""
         make_round, model, config, rms = bench
         windows, _ = make_round(3300)
         windows[5] = SignalWindow(
@@ -425,12 +552,17 @@ class TestDecideFaulty:
             samples=np.full(WINDOW, 3 * rms[5]), round_index=0,
         )
         windows[2] = None
-        neighbor_map = _neighbor_map()
+        # hearing range 3: the pairs at distance 3 are untrained
+        neighbor_map = {
+            ch: [j for j in range(N_CHANNELS) if j != ch and abs(j - ch) <= 3]
+            for ch in range(N_CHANNELS)
+        }
         delivered = {
             CorrelationModel.pair_key(i, j)
             for i in neighbor_map
             for j in neighbor_map[i]
             if windows[i] is not None and windows[j] is not None
+            and CorrelationModel.pair_key(i, j) in model.omega_ref
         }
         codes = {
             ch: bin_indices(w.samples, model.edges[ch]) for ch, w in windows.items() if w is not None
@@ -441,17 +573,16 @@ class TestDecideFaulty:
             return ch
 
         calls = []
-        mi_codes = detection.mutual_information_codes
+        kernel = detection._mi_kernel
 
         def counting(codes_u, codes_v, bins):
-            calls.append((channel(codes_u), channel(codes_v)))
-            return mi_codes(codes_u, codes_v, bins)
+            calls.extend((channel(u), channel(v)) for u, v in zip(codes_u, codes_v))
+            return kernel(codes_u, codes_v, bins)
 
-        monkeypatch.setattr(detection, "mutual_information_codes", counting)
+        monkeypatch.setattr(detection, "_mi_kernel", counting)
         decisions = detection_round(windows, neighbor_map, model, config)
         assert decisions[5].verdict == "faulty"
-        assert len(calls) <= len(delivered)
-        assert {CorrelationModel.pair_key(i, j) for i, j in calls} == delivered
+        assert sorted(CorrelationModel.pair_key(i, j) for i, j in calls) == sorted(delivered)
 
     def test_absent_window_marked_faulty(self, bench):
         make_round, model, config, _ = bench

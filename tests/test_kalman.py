@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import solve_discrete_are
 
 from shmsim.detection import default_edges
+from shmsim import kalman
 from shmsim.kalman import (
     SCAN_BINS,
     _scoped_filter,
@@ -19,6 +20,7 @@ from shmsim.kalman import (
     filter_for_structure,
     kl_divergence,
     missing_sensor_scan,
+    reconstruct_round,
     reconstruct_signals,
     run_filter,
 )
@@ -577,6 +579,130 @@ class TestReconstruction:
         results = reconstruct_signals([], scope, spec, noise_var=noise_var, truth={5: clean[5]})
         assert [r.sensor_id for r in results] == [5]
         assert results[0].quality >= 0.90
+
+
+def _assert_same_results(got, want):
+    """Two reconstructions' result lists are equal bit for bit."""
+    assert [r.sensor_id for r in got] == [r.sensor_id for r in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.reconstructed.samples, b.reconstructed.samples)
+        assert (a.reconstructed.start_time, a.reconstructed.dt, a.reconstructed.round_index) == (
+            b.reconstructed.start_time, b.reconstructed.dt, b.reconstructed.round_index
+        )
+        assert np.array_equal(a.residual, b.residual)
+        assert a.quality == b.quality
+
+
+def _lone_outcome(faulty, windows, spec, **kwargs):
+    """What a lone ``reconstruct_signals`` call returns, or the KalmanError it raises."""
+    try:
+        return reconstruct_signals(faulty, windows, spec, **kwargs)
+    except KalmanError as err:
+        return err
+
+
+class TestRoundReconstruction:
+    """One round's reconstructions stacked by filter shape equal lone calls bit for bit."""
+
+    @staticmethod
+    def _job(windows, faulty, channels, missing=()):
+        return faulty, {ch: None if ch in missing else windows[ch] for ch in channels}
+
+    @pytest.mark.parametrize("buffer", [kalman.SCAN_BUFFER, 40_000, 400, 1])
+    def test_mixed_scope_shapes_equal_lone_calls(self, chain_round, monkeypatch, buffer):
+        """Scopes of three sizes, two of them shared by several jobs (state 14, rows 5 and
+        state 10, rows 3), a no-op job and one that fails alone. Each buffer solves a
+        group's jobs in one doubling stack; 40 000 scans two (state 14) or three (state
+        10) of them per stack, and the default one at a time. 400 solves two or four jobs
+        per stack and scans them in 28- and 40-row tiles; 1 runs every job alone in
+        one-row tiles."""
+        monkeypatch.setattr(kalman, "SCAN_BUFFER", buffer)
+        spec, clean, rms, windows, noise_var = chain_round
+        jobs = [
+            self._job(windows, [5], range(3, 8)),
+            self._job(windows, [2], range(1, 4)),
+            self._job(windows, [6], range(4, 9)),  # its sub-chain reaches the top
+            self._job(windows, [], range(2, 7), missing=(4,)),
+            self._job(windows, [7], range(6, 9)),
+            self._job(windows, [], range(3, 6)),
+            self._job(windows, [4, 5], range(4, 7)),  # too few healthy channels
+            self._job(windows, [4], range(2, 7)),
+        ]
+        kwargs = dict(round_index=3, noise_var=noise_var, truth={ch: clean[ch] for ch in range(N)})
+        outcomes = reconstruct_round(jobs, spec, **kwargs)
+        assert len(outcomes) == len(jobs)
+        for (faulty, scope), got in zip(jobs, outcomes):
+            want = _lone_outcome(faulty, scope, spec, **kwargs)
+            if isinstance(want, KalmanError):
+                assert type(got) is KalmanError and str(got) == str(want)
+                continue
+            _assert_same_results(got, want)
+            # and the lone call is the state-based filter's estimate
+            channels = sorted(scope)
+            if got:
+                bad = {r.sensor_id for r in got}
+                healthy = [ch for ch in channels if ch not in bad]
+                _, block, make_filter = _scoped_filter(
+                    spec, scope, channels, healthy, ReconstructionConfig(), noise_var
+                )
+                est, innov = run_filter(make_filter(bad), block)
+                for r in got:
+                    assert np.array_equal(r.reconstructed.samples, est[channels.index(r.sensor_id)])
+                    assert np.array_equal(r.residual, innov[channels.index(r.sensor_id)])
+        assert [len(o) for o in outcomes if not isinstance(o, KalmanError)] == [1, 1, 1, 1, 1, 0, 1]
+
+    def test_singular_noise_fails_its_job_only(self, chain_round):
+        """A job whose R cannot be solved fails the stacked solve; it gets the error its
+        lone call raises and its group-mates (same state dimension, rows and T) keep
+        their lone results bit for bit."""
+        spec, clean, rms, windows, noise_var = chain_round
+        noise_var = {**noise_var, 8: 1e-320}  # healthy channel 8: H^T R^-1 H overflows
+        jobs = [
+            self._job(windows, [5], range(3, 8)),
+            self._job(windows, [6], range(4, 9)),
+            self._job(windows, [4], range(2, 7)),
+        ]
+        kwargs = dict(noise_var=noise_var, truth={ch: clean[ch] for ch in range(N)})
+        outcomes = reconstruct_round(jobs, spec, **kwargs)
+        with pytest.raises(KalmanError, match="singular measurement noise") as lone:
+            reconstruct_signals(*jobs[1], spec, **kwargs)
+        assert type(outcomes[1]) is KalmanError and str(outcomes[1]) == str(lone.value)
+        for i in (0, 2):
+            _assert_same_results(outcomes[i], reconstruct_signals(*jobs[i], spec, **kwargs))
+
+    def test_failing_scan_fails_its_job_only(self, chain_round, monkeypatch):
+        """A prefix scan that fails for one job's filter (made to fail here, as an unstable
+        closed loop would) fails that job alone; its scan-mate (two jobs per scan stack at
+        this buffer) and the other stack keep their lone results."""
+        monkeypatch.setattr(kalman, "SCAN_BUFFER", 40_000)
+        spec, clean, rms, windows, noise_var = chain_round
+        jobs = [self._job(windows, [ch], range(ch - 2, ch + 3)) for ch in (3, 4, 5, 6)]
+        marked = windows[8].samples  # only the last job's block ends with channel 8
+        scan = kalman._prefix_scan
+
+        def failing(a, h, gain_t, x0, measurements):
+            if any(np.array_equal(block[-1], marked) for block in np.reshape(
+                    measurements, (-1, *measurements.shape[-2:]))):
+                raise KalmanError("the filter's closed loop is unstable: made to fail")
+            return scan(a, h, gain_t, x0, measurements)
+
+        monkeypatch.setattr(kalman, "_prefix_scan", failing)
+        outcomes = reconstruct_round(jobs, spec, noise_var=noise_var)
+        assert [type(o) is KalmanError for o in outcomes] == [False, False, False, True]
+        with pytest.raises(KalmanError) as lone:
+            reconstruct_signals(*jobs[3], spec, noise_var=noise_var)
+        assert str(outcomes[3]) == str(lone.value)
+        for job, got in zip(jobs[:3], outcomes):
+            _assert_same_results(got, reconstruct_signals(*job, spec, noise_var=noise_var))
+
+    def test_lone_call_raises_the_round_error(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        job = self._job(windows, [4, 5], range(4, 7))
+        (outcome,) = reconstruct_round([job], spec, noise_var=noise_var)
+        with pytest.raises(KalmanError) as lone:
+            reconstruct_signals(*job, spec, noise_var=noise_var)
+        assert str(lone.value) == str(outcome)
+        assert outcome.__traceback__ is None
 
 
 class TestKLDivergence:

@@ -519,10 +519,18 @@ class TestModes:
             kalman, "missing_sensor_scan",
             recording(kalman.missing_sensor_scan, lambda node_set, *_: node_set),
         )
-        monkeypatch.setattr(
-            kalman, "reconstruct_signals",
-            recording(kalman.reconstruct_signals, lambda _, windows, *__: sorted(windows)),
-        )
+        round_entry = kalman.reconstruct_round
+
+        def recording_round(jobs, *args, **kwargs):
+            outcomes = round_entry(jobs, *args, **kwargs)
+            scopes.extend(
+                sorted(windows)
+                for (_, windows), out in zip(jobs, outcomes)
+                if not isinstance(out, kalman.KalmanError)
+            )
+            return outcomes
+
+        monkeypatch.setattr(kalman, "reconstruct_round", recording_round)
         cfg = fast_config(
             faults=[{"kind": "missing", "sensor_id": 5, "onset_round": 5}],
             reconstruction={"scope_margin": 3},
