@@ -6,7 +6,7 @@ kind does to a window's basic statistics.
 
 import numpy as np
 
-from shmsim.sensing import FaultProfile, SensorArraySpec, apply_fault, measure, sampling_points
+from shmsim.sensing import FaultProfile, apply_fault, sample_round, sampling_points
 from shmsim.structure import ExcitationSpec, simulate_response, uniform_chain
 
 M = sampling_points(n_a=10, c_r=100)
@@ -14,9 +14,9 @@ print(f"window length from 10 averaging segments of 100 samples: M = {M}")
 
 spec = uniform_chain(4, 1000.0, 1.769e6, 0.02, (M + 1) * 0.02)
 rec = simulate_response(spec, ExcitationSpec("sine", 1.0, frequency=0.9))
-array = SensorArraySpec(positions=(0, 1, 2, 3), noise_fraction=0.10)
-streams = measure(rec, array, window=M, seed=7)
-window = streams[2][0]
+clean = rec.accelerations[:, :M]
+noise_std = 0.10 * np.sqrt(np.mean(clean**2, axis=1))
+window = sample_round(clean, noise_std, seed=7, round_index=0, start_time=0.0, dt=rec.dt)[2]
 rms = float(np.sqrt(np.mean(window.samples**2)))
 print(f"channel 2: rms {rms:.3f}, mean {np.mean(window.samples):+.4f}")
 

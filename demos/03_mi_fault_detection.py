@@ -8,7 +8,7 @@ decision threshold for healthy channels and saturating for faulty ones.
 import numpy as np
 
 from shmsim.detection import DetectionConfig, detection_round, train_correlation_model
-from shmsim.sensing import SignalWindow
+from shmsim.sensing import SignalWindow, sample_round
 from shmsim.structure import ExcitationSpec, simulate_response, uniform_chain
 
 WINDOW = 1024
@@ -20,12 +20,7 @@ def episode(tag):
     ambient = simulate_response(spec, ExcitationSpec("white_noise", 0.02, seed=1000 + tag))
     clean = sine.accelerations[:, :WINDOW] + ambient.accelerations[:, :WINDOW]
     rms = np.sqrt(np.mean(clean**2, axis=1))
-    rng = np.random.default_rng(2000 + tag)
-    noisy = clean + 0.1 * rms[:, None] * rng.standard_normal(clean.shape)
-    return {
-        ch: SignalWindow(sensor_id=ch, start_time=0.0, dt=0.02, samples=noisy[ch], round_index=tag)
-        for ch in range(10)
-    }, rms
+    return sample_round(clean, 0.1 * rms, 2000 + tag, tag, 0.0, 0.02), rms
 
 
 config = DetectionConfig(bins=16, R=5, threshold=0.5)

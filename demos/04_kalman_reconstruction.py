@@ -8,7 +8,7 @@ scan then shows the leave-one-out KL indicator picking a removed sensor.
 import numpy as np
 
 from shmsim.kalman import missing_sensor_scan, reconstruct_signals
-from shmsim.sensing import SignalWindow
+from shmsim.sensing import SignalWindow, sample_round
 from shmsim.structure import ExcitationSpec, simulate_response, uniform_chain
 
 WINDOW = 2048
@@ -17,24 +17,21 @@ sine = simulate_response(spec, ExcitationSpec("sine", 1.0, frequency=0.9))
 ambient = simulate_response(spec, ExcitationSpec("white_noise", 0.02, seed=99))
 clean = sine.accelerations[:, :WINDOW] + ambient.accelerations[:, :WINDOW]
 rms = np.sqrt(np.mean(clean**2, axis=1))
-rng = np.random.default_rng(1)
-noisy = clean + 0.1 * rms[:, None] * rng.standard_normal(clean.shape)
-noise_var = {ch: float((0.1 * rms[ch]) ** 2) for ch in range(10)}
-
-
-def win(ch, samples):
-    return SignalWindow(sensor_id=ch, start_time=0.0, dt=0.02, samples=samples, round_index=0)
-
+noise_std = 0.1 * rms
+measured = sample_round(clean, noise_std, 1, 0, 0.0, 0.02)
+noise_var = {ch: float(noise_std[ch] ** 2) for ch in range(10)}
 
 # sensor 5 reports a constant; its neighbors carry the information
-scope = {ch: win(ch, noisy[ch]) for ch in (3, 4, 6, 7)}
-scope[5] = win(5, np.full(WINDOW, 3 * rms[5]))
+scope = {ch: measured[ch] for ch in (3, 4, 6, 7)}
+scope[5] = SignalWindow(
+    sensor_id=5, start_time=0.0, dt=0.02, samples=np.full(WINDOW, 3 * rms[5]), round_index=0
+)
 result = reconstruct_signals([5], scope, spec, noise_var=noise_var, truth={5: clean[5]})[0]
 print(f"stuck sensor 5 reconstructed: correlation with truth = {result.quality:.4f}")
 print(f"residual rms = {np.sqrt(np.mean(result.residual**2)):.3f}")
 
 # leave-one-out scan: the candidate whose exclusion explains the data best
-windows = {ch: win(ch, noisy[ch]) for ch in range(10)}
+windows = dict(measured)
 windows[7] = None  # sensor 7 went silent
 scan = missing_sensor_scan(range(10), windows, spec, noise_var=noise_var)
 print("\nKL-KF indicators per candidate (lower = better exclusion):")

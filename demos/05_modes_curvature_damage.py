@@ -13,10 +13,10 @@ from shmsim.modal import (
     assemble_global,
     curvature,
     diagnose,
-    extract_local_modes,
+    extract_round_modes,
     modal_assurance,
 )
-from shmsim.sensing import SignalWindow
+from shmsim.sensing import sample_round
 from shmsim.structure import (
     DamageSpec,
     ExcitationSpec,
@@ -37,24 +37,12 @@ def measured_round(rspec, tag):
     ambient = simulate_response(rspec, ExcitationSpec("white_noise", 0.02, seed=3000 + tag))
     clean = sine.accelerations[:, :WINDOW] + ambient.accelerations[:, :WINDOW]
     rms = np.sqrt(np.mean(clean**2, axis=1))
-    rng = np.random.default_rng(4000 + tag)
-    noisy = clean + 0.1 * rms[:, None] * rng.standard_normal(clean.shape)
-    return noisy
+    return sample_round(clean, 0.1 * rms, 4000 + tag, tag, 0.0, 0.02)
 
 
-def assemble_round(noisy, tag):
-    estimates = []
-    for ch in range(10):
-        ref = max(ch - 1, 0)
-        estimates.append(
-            extract_local_modes(
-                SignalWindow(sensor_id=ch, start_time=0.0, dt=0.02, samples=noisy[ch], round_index=tag),
-                config,
-                reference=None if ch == 0 else SignalWindow(
-                    sensor_id=ref, start_time=0.0, dt=0.02, samples=noisy[ref], round_index=tag
-                ),
-            )
-        )
+def assemble_round(windows, tag):
+    pairs = [(windows[ch], windows[ch - 1] if ch else None) for ch in range(10)]
+    estimates = extract_round_modes(pairs, config)
     return assemble_global(estimates, tolerance_hz=2.0 / (256 * 0.02), n_locations=10, round_index=tag)
 
 

@@ -16,7 +16,7 @@ from shmsim.network import (
     build_neighborhoods,
     charge_round,
     line_positions,
-    shortest_path_route,
+    shortest_path_routes,
 )
 
 topology = TopologySpec(
@@ -30,8 +30,8 @@ degrees = [len(graph.neighbors[i]) for i in range(100)]
 print(f"R_min neighborhoods: degree min {min(degrees)} / median {int(np.median(degrees))} / max {max(degrees)}")
 print(f"nodes reaching the BS directly at R_max: {len(graph.bs_direct)}")
 
-path = shortest_path_route(graph.routing, 99, BS)
-print(f"route from the far end to the BS: {path}")
+routes = shortest_path_routes(graph.routing, BS)
+print(f"route from the far end to the BS: {routes[99]}")
 
 params = EnergyParams()
 window = 550
@@ -42,8 +42,7 @@ ledger = EnergyLedger()
 for node in range(100):
     # distributed: one neighborhood broadcast plus a compact report toward the BS
     traffic = [Transmission(raw_bits, topology.r_min)]
-    for a, b in zip(shortest_path_route(graph.routing, node, BS)[:-1],
-                    shortest_path_route(graph.routing, node, BS)[1:]):
+    for a, b in zip(routes[node][:-1], routes[node][1:]):
         traffic.append(Transmission(report_bits, topology.distance(a, b)))
     charge_round(ledger, node, traffic, 0, window, params, round_index=0,
                  received_bits=raw_bits * len(graph.neighbors[node]))
@@ -51,7 +50,7 @@ distributed = ledger.communication_total
 
 ledger_raw = EnergyLedger()
 for node in range(100):
-    hops = shortest_path_route(graph.routing, node, BS)
+    hops = routes[node]
     traffic = [
         Transmission(raw_bits, topology.distance(a, b)) for a, b in zip(hops[:-1], hops[1:])
     ]

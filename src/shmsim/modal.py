@@ -103,12 +103,16 @@ class _Spectra:
 def extract_round_modes(pairs, config: ModalConfig) -> list:
     """Local modes of every ``(window, reference)`` pair of one extraction pass.
 
+    Each estimate peak-picks the averaged periodogram of the node's round
+    window. ``reference`` is the reference node's synchronized window for the
+    sign convention. Without it, when it is flat or when it is the node's own
+    window, all signs are positive and the estimate is its own reference.
+
     Each distinct window, as a node or as a reference, is one row of a
     ``(k, T)`` stack per window length and sampling rate. One strided FFT of
     all of a stack's segments gives every row's PSD, a node's CSD reads its
     reference's row, and the flatness tests and noise floors run once per
-    stack. Each pair's estimate is ``extract_local_modes(window, config,
-    reference)``, bit for bit.
+    stack, so an estimate does not depend on the other pairs of the pass.
     """
     stacks = {}  # (length, fs) -> sample rows
     slots = {}  # (id(window), fs) -> (stack key, row); fs is the node's, whose window scales both
@@ -124,7 +128,7 @@ def extract_round_modes(pairs, config: ModalConfig) -> list:
     plan = []
     for window, reference in pairs:
         if window is None:
-            raise ModalError("extract_local_modes needs a delivered window")
+            raise ModalError("mode extraction needs a delivered window")
         fs = 1.0 / window.dt
         own = reference is None or reference.sensor_id == window.sensor_id
         plan.append((window, reference, slot(window, fs), None if own else slot(reference, fs)))
@@ -177,16 +181,6 @@ def _pick_peaks(psd: np.ndarray, order: np.ndarray, floor: float, config: ModalC
         if len(sel) == config.max_modes:
             break
     return np.sort(np.asarray(sel, dtype=int))
-
-
-def extract_local_modes(window, config: ModalConfig, reference=None) -> LocalModeEstimate:
-    """Peak-pick the averaged periodogram of one node's round window.
-
-    ``reference`` is the reference node's synchronized window for the sign
-    convention. Without it, when it is flat or when it is the node's own
-    window, all signs are positive and the estimate is its own reference.
-    """
-    return extract_round_modes([(window, reference)], config)[0]
 
 
 @dataclass

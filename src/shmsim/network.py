@@ -140,14 +140,6 @@ def shortest_path_routes(adjacency: dict, sink: int) -> dict:
     return routes
 
 
-def shortest_path_route(adjacency: dict, source: int, sink: int) -> list:
-    """Minimum-hop path from source to sink: its entry of ``shortest_path_routes``."""
-    route = shortest_path_routes(adjacency, sink).get(source)
-    if route is None:
-        raise NetworkError(f"no route from {source} to {sink}")
-    return route
-
-
 @dataclass
 class EnergyParams:
     """Radio, CPU, sampling and payload constants (documented defaults).

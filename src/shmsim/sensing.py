@@ -1,8 +1,9 @@
 """Sensor measurement and the sensor-fault taxonomy.
 
-Turns ground-truth structural responses into per-channel measured signal
-windows (the acceleration at each channel's DOF plus additive Gaussian noise)
-and injects faults: debonding attenuation, stuck readings, offset/bias, drift,
+``sample_round`` is the one sampling function: it turns one round's clean
+structural responses into per-channel measured signal windows (each row plus
+additive Gaussian noise of that channel's std). Faults then act on the
+windows one at a time: debonding attenuation, stuck readings, offset/bias, drift,
 precision degradation, noise bursts, and missing windows. A missing window is
 delivered as ``None`` so downstream code observes absence, never zeros.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 
 class SensingError(ValueError):
-    """Raised on invalid sensor array or fault descriptions."""
+    """Raised on invalid fault descriptions or sampling parameters."""
 
 
 FAULT_KINDS = (
@@ -28,37 +29,6 @@ FAULT_KINDS = (
     "noise_burst",
     "missing",
 )
-
-
-@dataclass(frozen=True)
-class SensorArraySpec:
-    """Which structural DOF each sensor channel reads, and its noise level.
-
-    ``noise_std`` gives one standard deviation per channel; when None, each
-    channel gets ``noise_fraction`` times its fault-free signal RMS (the 10%
-    ambient-noise operating point by default).
-    """
-
-    positions: tuple
-    noise_std: np.ndarray | None = None
-    noise_fraction: float = 0.10
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
-        if len(self.positions) == 0:
-            raise SensingError("sensor array needs at least one channel")
-        if self.noise_std is not None:
-            std = np.asarray(self.noise_std, dtype=float)
-            if std.shape != (len(self.positions),) or np.any(std < 0):
-                raise SensingError("noise_std must be a non-negative vector, one entry per sensor")
-            std.setflags(write=False)
-            object.__setattr__(self, "noise_std", std)
-        if self.noise_fraction < 0:
-            raise SensingError("noise_fraction must be >= 0")
-
-    @property
-    def n_sensors(self) -> int:
-        return len(self.positions)
 
 
 def is_flat(samples: np.ndarray):
@@ -80,7 +50,7 @@ class SignalWindow:
     round_index: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = np.asarray(self.samples, dtype=float).view()  # freeze a view, not the caller's array
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -132,45 +102,23 @@ class FaultProfile:
         return (t >= self.onset) & (t < self.onset + self.duration)
 
 
-def measure(response, array: SensorArraySpec, window: int, seed: int) -> list:
-    """Sample the response into per-sensor streams of SignalWindow objects.
+def sample_round(
+    clean: np.ndarray, noise_std: np.ndarray, seed, round_index: int, start_time: float, dt: float
+) -> dict:
+    """One round's measured windows: ``{channel: SignalWindow}``.
 
-    Returns ``streams[sensor][round]``; channel i carries the acceleration at
-    its DOF plus i.i.d. Gaussian noise of the configured standard deviation.
-    Bit-identical for identical seeds.
+    Channel i carries row i of the clean ``(channels, samples)`` block plus
+    ``noise_std[i]`` times i.i.d. standard normal draws from
+    ``np.random.default_rng(seed)``. Bit-identical for identical seeds.
     """
-    if window <= 0:
-        raise SensingError("window length must be positive")
-    acc = response.accelerations
-    n_dof, n_samples = acc.shape
-    for dof in array.positions:
-        if not (0 <= dof < n_dof):
-            raise SensingError(f"sensor position {dof} out of range for {n_dof} DOFs")
-    n_rounds = n_samples // window
-    if n_rounds == 0:
-        raise SensingError("response shorter than one window")
-    picked = acc[list(array.positions), : n_rounds * window]
-    if array.noise_std is not None:
-        std = array.noise_std
-    else:
-        std = array.noise_fraction * np.sqrt(np.mean(picked**2, axis=1))
     rng = np.random.default_rng(seed)
-    noisy = picked + std[:, None] * rng.standard_normal(picked.shape)
-    streams = []
-    for s in range(array.n_sensors):
-        rounds = []
-        for d in range(n_rounds):
-            rounds.append(
-                SignalWindow(
-                    sensor_id=s,
-                    start_time=d * window * response.dt,
-                    dt=response.dt,
-                    samples=noisy[s, d * window : (d + 1) * window],
-                    round_index=d,
-                )
-            )
-        streams.append(rounds)
-    return streams
+    noisy = clean + noise_std[:, None] * rng.standard_normal(clean.shape)
+    return {
+        ch: SignalWindow(
+            sensor_id=ch, start_time=start_time, dt=dt, samples=noisy[ch], round_index=round_index
+        )
+        for ch in range(noisy.shape[0])
+    }
 
 
 def apply_fault(window: SignalWindow, profile: FaultProfile) -> SignalWindow | None:

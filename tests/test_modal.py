@@ -28,7 +28,6 @@ from shmsim.modal import (
     assemble_global,
     curvature,
     diagnose,
-    extract_local_modes,
     extract_round_modes,
     modal_assurance,
     normalize_mode,
@@ -46,13 +45,13 @@ class TestExtraction:
         spec = uniform_chain(1, 1.0, (2 * np.pi) ** 2, 0.01, 42.0)
         rec = simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=2))
         config = ModalConfig(segment_length=4096, band=(0.3, 40.0), peak_snr=5.0, max_modes=1)
-        est = extract_local_modes(_window(rec.accelerations[0, :4096]), config)
+        est = extract_round_modes([(_window(rec.accelerations[0, :4096]), None)], config)[0]
         assert not est.is_empty
         assert abs(est.frequencies[0] - 1.0) <= 1.0 / (4096 * 0.01)
 
     def test_stuck_signal_yields_empty_estimate(self):
         config = ModalConfig(segment_length=256, band=(0.1, 20.0))
-        est = extract_local_modes(_window(np.full(2048, 3.3)), config)
+        est = extract_round_modes([(_window(np.full(2048, 3.3)), None)], config)[0]
         assert est.is_empty
 
     def test_mode_sign_patterns_match_eigen_ground_truth(self):
@@ -64,13 +63,8 @@ class TestExtraction:
         config = ModalConfig(segment_length=1024, band=(0.5, 4.0), peak_snr=4.0, max_modes=2)
         estimates = []
         for ch in range(10):
-            estimates.append(
-                extract_local_modes(
-                    _window(acc[ch], sensor_id=ch, dt=0.02),
-                    config,
-                    reference=_window(acc[0], dt=0.02),
-                )
-            )
+            pair = (_window(acc[ch], sensor_id=ch, dt=0.02), _window(acc[0], dt=0.02))
+            estimates.append(extract_round_modes([pair], config)[0])
         shape = assemble_global(estimates, tolerance_hz=2.0 / (1024 * 0.02), n_locations=10)
         k1 = shape.nearest_mode(basis.frequencies[0])
         k2 = shape.nearest_mode(basis.frequencies[1])
@@ -89,11 +83,13 @@ class TestExtraction:
         acc = simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=21)).accelerations
         config = ModalConfig(segment_length=256, band=(0.5, 4.0), peak_snr=4.0, max_modes=3)
         estimates = [
-            extract_local_modes(
-                _window(acc[7], sensor_id=7, dt=0.02),
+            extract_round_modes(
+                [(
+                    _window(acc[7], sensor_id=7, dt=0.02),
+                    _window(np.full(acc.shape[1], value), sensor_id=5, dt=0.02),
+                )],
                 config,
-                reference=_window(np.full(acc.shape[1], value), sensor_id=5, dt=0.02),
-            )
+            )[0]
             for value in (0.1, -3.7)
         ]
         for est in estimates:
@@ -107,16 +103,16 @@ class TestExtraction:
         acc = simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=21)).accelerations
         config = ModalConfig(segment_length=256, band=(0.5, 4.0), peak_snr=4.0, max_modes=3)
         window = _window(acc[7], sensor_id=7, dt=0.02)
-        est = extract_local_modes(window, config, reference=_window(acc[5], sensor_id=5, dt=0.02))
+        est = extract_round_modes([(window, _window(acc[5], sensor_id=5, dt=0.02))], config)[0]
         assert est.reference_id == 5
-        own = extract_local_modes(window, config, reference=window)
-        alone = extract_local_modes(window, config)
+        own = extract_round_modes([(window, window)], config)[0]
+        alone = extract_round_modes([(window, None)], config)[0]
         assert own.reference_id == alone.reference_id == 7
         np.testing.assert_array_equal(own.amplitudes, alone.amplitudes)
 
     def test_none_window_rejected(self):
         with pytest.raises(ModalError):
-            extract_local_modes(None, ModalConfig())
+            extract_round_modes([(None, None)], ModalConfig())
 
 
 class TestSegmentSpectra:
@@ -155,7 +151,7 @@ class TestSegmentSpectra:
         window = _window(rng.standard_normal(550))
         reference = _window(rng.standard_normal(549), sensor_id=1)
         with pytest.raises(ModalError):
-            extract_local_modes(window, ModalConfig(segment_length=100), reference)
+            extract_round_modes([(window, reference)], ModalConfig(segment_length=100))
 
 
 @st.composite
@@ -240,7 +236,7 @@ class TestRoundExtraction:
     def test_equals_per_node_extraction(self, case):
         pairs, config = case
         try:
-            alone = [extract_local_modes(w, config, ref) for w, ref in pairs]
+            alone = [extract_round_modes([pair], config)[0] for pair in pairs]
         except ModalError:  # an empty analysis band fails the pass as it fails a node
             with pytest.raises(ModalError):
                 extract_round_modes(pairs, config)

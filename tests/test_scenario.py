@@ -111,6 +111,13 @@ class TestValidation:
             ("monitoring", "training_rounds"), "abc", "monitoring.training_rounds"
         ),
         "band_one_edge": (("modal", "band"), [5], "modal.band"),
+        # outside the averaging range sampling_points accepts
+        "n_averages_below_range": (
+            ("monitoring", "n_averages"), 5, "monitoring.n_averages: integer in [10, 20] required"
+        ),
+        "n_averages_above_range": (
+            ("monitoring", "n_averages"), 25, "monitoring.n_averages: integer in [10, 20] required"
+        ),
         "faults_as_dict": (("faults",), {"kind": "stuck_constant", "sensor_id": 5}, "faults:"),
         "seed_bool": (("seed",), True, "seed"),
         "section_not_mapping": (("monitoring",), 5, "monitoring: a mapping"),

@@ -8,11 +8,10 @@ import pytest
 from shmsim.sensing import (
     FaultProfile,
     SensingError,
-    SensorArraySpec,
     SignalWindow,
     apply_fault,
     apply_faults,
-    measure,
+    sample_round,
     sampling_points,
 )
 from shmsim.structure import ExcitationSpec, simulate_response, uniform_chain
@@ -30,32 +29,45 @@ def window_of(samples, sensor_id=0, start=0.0, dt=0.01, round_index=0):
 
 class TestMeasure:
     def test_zero_noise_matches_truth(self, response):
-        array = SensorArraySpec(positions=(0, 1, 2, 3), noise_std=np.zeros(4))
-        streams = measure(response, array, window=500, seed=1)
-        assert np.array_equal(streams[2][0].samples, response.accelerations[2, :500])
+        clean = response.accelerations[:, :500]
+        windows = sample_round(clean, np.zeros(4), 1, 0, 0.0, response.dt)
+        assert sorted(windows) == [0, 1, 2, 3]
+        for ch in range(4):
+            assert np.array_equal(windows[ch].samples, clean[ch])
 
     def test_noise_level_tracks_configured_fraction(self, response):
-        array = SensorArraySpec(positions=(0, 1, 2, 3), noise_fraction=0.10)
-        n = response.n_samples
-        streams = measure(response, array, window=n, seed=7)
+        clean = response.accelerations
+        std = 0.10 * np.sqrt(np.mean(clean**2, axis=1))
+        windows = sample_round(clean, std, 7, 0, 0.0, response.dt)
         for ch in range(4):
-            true = response.accelerations[ch, :n]
-            noise = streams[ch][0].samples - true
-            target = 0.10 * np.sqrt(np.mean(true**2))
-            assert abs(np.std(noise) - target) / target < 0.05
+            noise = windows[ch].samples - clean[ch]
+            assert abs(np.std(noise) - std[ch]) / std[ch] < 0.05
 
     def test_identical_seed_bit_identical(self, response):
-        array = SensorArraySpec(positions=(0, 1, 2, 3))
-        a = measure(response, array, window=300, seed=5)
-        b = measure(response, array, window=300, seed=5)
+        clean = response.accelerations[:, :300]
+        a, b = (
+            sample_round(clean, np.ones(4), np.random.SeedSequence([5, 2, 3]), 3, 0.0, response.dt)
+            for _ in range(2)
+        )
         for ch in range(4):
-            for wa, wb in zip(a[ch], b[ch]):
-                assert np.array_equal(wa.samples, wb.samples)
+            assert np.array_equal(a[ch].samples, b[ch].samples)
 
-    def test_position_out_of_range(self, response):
-        array = SensorArraySpec(positions=(0, 9))
-        with pytest.raises(SensingError):
-            measure(response, array, window=100, seed=0)
+    def test_windows_carry_round_timing(self, response):
+        windows = sample_round(response.accelerations[:, :300], np.ones(4), 5, 7, 21.0, response.dt)
+        for ch, w in windows.items():
+            assert (w.sensor_id, w.round_index, w.start_time, w.dt) == (ch, 7, 21.0, response.dt)
+            assert w.length == 300
+
+
+class TestSignalWindow:
+    def test_samples_frozen_but_caller_array_writable(self):
+        x = np.zeros(5)
+        w = window_of(x)
+        assert not w.samples.flags.writeable
+        with pytest.raises(ValueError):
+            w.samples[0] = 1.0
+        x[0] = 1.0  # the caller's array stays the caller's to change
+        assert x.flags.writeable
 
 
 class TestApplyFault:
@@ -136,16 +148,12 @@ class TestApplyFault:
 
 class TestFaultComposition:
     def test_channel_isolation(self, response):
-        array = SensorArraySpec(positions=(0, 1, 2, 3), noise_std=np.zeros(4))
-        streams = measure(response, array, window=500, seed=1)
+        windows = sample_round(response.accelerations[:, :500], np.zeros(4), 1, 0, 0.0, response.dt)
         profile = FaultProfile(kind="offset_bias", sensor_id=1, onset=0.0, offset=9.0)
-        faulted = [
-            [apply_faults(w, [profile]) for w in stream] for stream in streams
-        ]
+        faulted = {ch: apply_faults(w, [profile]) for ch, w in windows.items()}
         for ch in (0, 2, 3):
-            for w_orig, w_new in zip(streams[ch], faulted[ch]):
-                assert np.array_equal(w_orig.samples, w_new.samples)
-        assert not np.array_equal(faulted[1][0].samples, streams[1][0].samples)
+            assert np.array_equal(windows[ch].samples, faulted[ch].samples)
+        assert not np.array_equal(faulted[1].samples, windows[1].samples)
 
     def test_non_overlapping_faults_commute(self):
         w = window_of(np.linspace(-1, 1, 200), dt=0.1)
