@@ -3,7 +3,8 @@
 Each node runs an averaged periodogram over its round window, picks spectral
 peaks inside the analysis band and reports (frequency, amplitude, sign)
 triples; the sign is the cross-spectrum phase against its reference neighbor
-(lowest-id node it can hear). The base station clusters the reported
+(lowest-id node it can hear), evaluated at the picked bins only, where it
+equals scipy's ``csd``. The base station clusters the reported
 frequencies, chains the pairwise signs into a globally consistent mode
 vector, normalizes to unit maximum amplitude, and compares mode-shape
 curvature against a fault-free baseline to localize damage.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -92,12 +93,23 @@ class _Spectra:
         self.band_idx = np.flatnonzero(in_band)
         if self.band_idx.size:
             band_psd = self.psd[:, self.band_idx]
-            self.floors = np.median(band_psd, axis=1)
-            self.orders = self.band_idx[np.argsort(band_psd, axis=1)[:, ::-1]]
+            # peak picking walks Python floats and ints, one list per row
+            self.floors = np.median(band_psd, axis=1).tolist()
+            self.orders = self.band_idx[np.argsort(band_psd, axis=1)[:, ::-1]].tolist()
+            self.psd_rows = self.psd.tolist()
 
-    def cross(self, node: int, reference: int) -> np.ndarray:
-        """CSD of row ``node`` against row ``reference``."""
-        return _one_sided_mean(self.ffts[reference] * np.conj(self.ffts[node]), self.nperseg)
+    def cross_at(self, nodes, references, bins) -> np.ndarray:
+        """CSD of row ``nodes[j]`` against row ``references[j]`` at bin ``bins[j]``, for every j.
+
+        Each value is the segment mean of ``F_ref * conj(F_node)`` at its bin,
+        the same contiguous reduction ``_one_sided_mean`` runs, so it equals the
+        full CSD at that bin bit for bit.
+        """
+        bins = np.asarray(bins, dtype=int)
+        cross = (self.ffts[references, :, bins] * np.conj(self.ffts[nodes, :, bins])).mean(axis=-1)
+        # interior bins doubled: never DC, never the Nyquist bin of an even segment
+        cross[(bins > 0) & ((bins < self.nperseg // 2) | (self.nperseg % 2 == 1))] *= 2
+        return cross
 
 
 def extract_round_modes(pairs, config: ModalConfig) -> list:
@@ -110,9 +122,11 @@ def extract_round_modes(pairs, config: ModalConfig) -> list:
 
     Each distinct window, as a node or as a reference, is one row of a
     ``(k, T)`` stack per window length and sampling rate. One strided FFT of
-    all of a stack's segments gives every row's PSD, a node's CSD reads its
-    reference's row, and the flatness tests and noise floors run once per
-    stack, so an estimate does not depend on the other pairs of the pass.
+    all of a stack's segments gives every row's PSD, and the flatness tests
+    and noise floors run once per stack. Every node picks its peaks first;
+    then one gather per stack takes the cross-spectrum of every signed node
+    against its reference at the picked bins only. An estimate does not
+    depend on the other pairs of the pass.
     """
     stacks = {}  # (length, fs) -> sample rows
     slots = {}  # (id(window), fs) -> (stack key, row); fs is the node's, whose window scales both
@@ -133,37 +147,47 @@ def extract_round_modes(pairs, config: ModalConfig) -> list:
         own = reference is None or reference.sensor_id == window.sensor_id
         plan.append((window, reference, slot(window, fs), None if own else slot(reference, fs)))
     spectra = {key: _Spectra(samples, key[1], config) for key, samples in stacks.items()}
-    estimates = []
+    picks = []  # per pair: (stack key, row, picked bins, offset of its signs or None, reference id)
+    gathers = {key: ([], [], []) for key in spectra}  # stack key -> node rows, reference rows, bins
     for window, reference, (key, i), ref_row in plan:
         group = spectra[key]
         # a flat reference's cross-spectrum phase is noise: the node is its own reference
         signed = ref_row is not None and not spectra[ref_row[0]].flat[ref_row[1]]
-        empty = LocalModeEstimate(
-            sensor_id=window.sensor_id,
-            round_index=window.round_index,
-            frequencies=np.empty(0),
-            amplitudes=np.empty(0),
-            reference_id=reference.sensor_id if signed else window.sensor_id,
-        )
-        estimates.append(empty)
+        sel, offset = [], None
         # flat signals (stuck sensors) have no spectral peaks at all
-        if group.flat[i]:
-            continue
-        if signed and ref_row[0] != key:
-            raise ModalError("reference window length differs from the node's")
-        if not group.band_idx.size:
-            raise ModalError("analysis band is empty at this resolution")
-        sel = _pick_peaks(group.psd[i], group.orders[i], float(group.floors[i]), config)
-        if sel.size:
-            signs = np.ones(sel.size)
-            if signed:
-                signs = np.where(np.real(group.cross(i, ref_row[1])[sel]) >= 0.0, 1.0, -1.0)
-            amplitudes = signs * np.sqrt(group.psd[i, sel])
-            estimates[-1] = replace(empty, frequencies=group.freqs[sel], amplitudes=amplitudes)
+        if not group.flat[i]:
+            if signed and ref_row[0] != key:
+                raise ModalError("reference window length differs from the node's")
+            if not group.band_idx.size:
+                raise ModalError("analysis band is empty at this resolution")
+            sel = _pick_peaks(group.psd_rows[i], group.orders[i], group.floors[i], config)
+        if signed and sel:
+            nodes, references, bins = gathers[key]
+            offset = len(bins)
+            nodes += [i] * len(sel)
+            references += [ref_row[1]] * len(sel)
+            bins += sel
+        picks.append((key, i, sel, offset, reference.sensor_id if signed else window.sensor_id))
+    signs = {
+        key: np.where(spectra[key].cross_at(*gather).real >= 0.0, 1.0, -1.0)
+        for key, gather in gathers.items()
+        if gather[2]
+    }
+    estimates = []
+    for (window, *_), (key, i, sel, offset, ref_id) in zip(plan, picks):
+        frequencies, amplitudes = np.empty(0), np.empty(0)
+        if sel:
+            group = spectra[key]
+            frequencies, amplitudes = group.freqs[sel], np.sqrt(group.psd[i, sel])
+            if offset is not None:
+                amplitudes = signs[key][offset : offset + len(sel)] * amplitudes
+        estimates.append(
+            LocalModeEstimate(window.sensor_id, window.round_index, frequencies, amplitudes, ref_id)
+        )
     return estimates
 
 
-def _pick_peaks(psd: np.ndarray, order: np.ndarray, floor: float, config: ModalConfig):
+def _pick_peaks(psd: list, order: list, floor: float, config: ModalConfig) -> list:
     """Greedy peak picking over in-band bins ``order``ed strongest first.
 
     Peaks are at least 2 bins apart and above ``peak_snr`` times the noise
@@ -171,16 +195,16 @@ def _pick_peaks(psd: np.ndarray, order: np.ndarray, floor: float, config: ModalC
     none when the floor is not positive.
     """
     if floor <= 0.0:
-        return np.empty(0, dtype=int)
+        return []
     sel = []
     for idx in order:
         if psd[idx] < config.peak_snr * floor:
             break
         if all(abs(idx - s) >= 2 for s in sel):
-            sel.append(int(idx))
+            sel.append(idx)
         if len(sel) == config.max_modes:
             break
-    return np.sort(np.asarray(sel, dtype=int))
+    return sorted(sel)
 
 
 @dataclass
@@ -262,32 +286,35 @@ def assemble_global(
     by_node = {e.sensor_id: e for e in estimates}
     if n_locations is None:
         n_locations = max(by_node) + 1
+    outside = sorted(node for node in by_node if not 0 <= node < n_locations)
+    if outside:
+        raise ModalError(f"sensor ids {outside} lie outside locations 0..{n_locations - 1}")
     reporting = [e for e in estimates if not e.is_empty]
     diagnostics = []
     if not reporting:
         raise ModalError("no node reported any mode")
     sign_fix = resolve_global_signs(by_node)
-    entries = []  # (frequency, node, signed amplitude)
-    for e in reporting:
-        for f, a in zip(e.frequencies, e.amplitudes):
-            entries.append((float(f), e.sensor_id, float(a) * sign_fix[e.sensor_id]))
-    entries.sort()
-    clusters = []
-    for f, node, amp in entries:
-        if clusters and f - np.mean([x[0] for x in clusters[-1]]) <= tolerance_hz:
-            clusters[-1].append((f, node, amp))
-        else:
-            clusters.append([(f, node, amp)])
+    entries = sorted(  # (frequency, node, signed amplitude)
+        (f, e.sensor_id, a * sign_fix[e.sensor_id])
+        for e in reporting
+        for f, a in zip(e.frequencies.tolist(), e.amplitudes.tolist())
+    )
+    sorted_freqs = np.array([f for f, _, _ in entries])
+    starts = [0]  # cluster c is entries[starts[c] : starts[c + 1]]
+    for i in range(1, len(entries)):
+        # the running mean is numpy's pairwise mean of the cluster's frequencies so far
+        if not (entries[i][0] - sorted_freqs[starts[-1] : i].mean() <= tolerance_hz):
+            starts.append(i)
     quorum = len(reporting) / 2.0
     freqs, columns, missing_cols = [], [], []
-    for cluster in clusters:
+    for lo, hi in zip(starts, starts[1:] + [len(entries)]):
         nodes = {}
-        for f, node, amp in cluster:
+        for f, node, amp in entries[lo:hi]:
             if node not in nodes or abs(amp) > abs(nodes[node][1]):
                 nodes[node] = (f, amp)
         if len(nodes) <= quorum:
             diagnostics.append(
-                f"cluster at {np.mean([c[0] for c in cluster]):.3f} Hz covers "
+                f"cluster at {sorted_freqs[lo:hi].mean():.3f} Hz covers "
                 f"{len(nodes)}/{len(reporting)} reporting nodes; below quorum, omitted"
             )
             continue
@@ -348,6 +375,8 @@ def modal_assurance(a: np.ndarray, b: np.ndarray) -> float:
         raise ModalError("too few shared locations for MAC")
     num = float(a[ok] @ b[ok]) ** 2
     den = float(a[ok] @ a[ok]) * float(b[ok] @ b[ok])
+    if den == 0.0:
+        raise ModalError("a mode vector is zero on the shared locations")
     return num / den
 
 

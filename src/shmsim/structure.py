@@ -5,14 +5,15 @@ The structure is a chain of point masses connected by story stiffnesses
 construction, so the free system conserves mechanical energy and the modal
 basis is real. Time marching uses the exact zero-order-hold solution of each
 modal oscillator, which keeps integrator error out of every downstream
-tolerance.
+tolerance. A march computes accelerations, the sensed quantity; displacements
+and velocities are computed on demand from the modal history it keeps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,8 +36,9 @@ def _as_positive_vector(values, name: str) -> np.ndarray:
 class StructureSpec:
     """Masses (kg), story stiffnesses (N/m), sampling step dt (s) and duration (s).
 
-    The spec is frozen, so its one eigen-solve and its discrete state-space
-    model run once per instance and are cached on it as read-only arrays.
+    The spec is frozen, so its one eigen-solve, its discrete state-space
+    model and the modal phase table of each march length run once per
+    instance and are cached on it as read-only arrays.
     """
 
     masses: np.ndarray
@@ -92,6 +94,18 @@ class StructureSpec:
 
     @functools.cached_property
     def _sub_chains(self) -> dict:
+        return {}
+
+    def _rho_powers(self, n: int) -> np.ndarray:
+        """``rho^k = exp(-i omega dt k)`` per mode for k = 0..n, read-only, one table per n."""
+        if n not in self._powers:
+            powers = _unit_powers(np.sqrt(self._basis.eigenvalues) * self.dt, n)
+            powers.setflags(write=False)
+            self._powers[n] = powers
+        return self._powers[n]
+
+    @functools.cached_property
+    def _powers(self) -> dict:
         return {}
 
     @functools.cached_property
@@ -200,13 +214,29 @@ class ResponseRecord:
     ground and ``accelerations`` holds the absolute (accelerometer-measured)
     acceleration, which equals ``-M^-1 K x`` exactly. For a point force the
     ground is fixed, so absolute and relative coincide.
+
+    The march computes the accelerations only. ``displacements`` and
+    ``velocities`` are mapped back from the kept modal history on first
+    access, by the same arithmetic an eager map would run.
     """
 
-    displacements: np.ndarray  # (n_dof, n_samples), m
-    velocities: np.ndarray  # (n_dof, n_samples), m/s
     accelerations: np.ndarray  # (n_dof, n_samples), m/s^2
     excitation_trace: np.ndarray  # (n_samples,)
     dt: float
+    # (Phi, omega, w): mode shapes, modal frequencies (rad/s) and _zoh_march's w history
+    _modal: tuple = field(repr=False)
+
+    @functools.cached_property
+    def displacements(self) -> np.ndarray:
+        """(n_dof, n_samples), m."""
+        phi, _, w = self._modal
+        return phi @ w.real[:, :-1]
+
+    @functools.cached_property
+    def velocities(self) -> np.ndarray:
+        """(n_dof, n_samples), m/s."""
+        phi, omega, w = self._modal
+        return phi @ (omega[:, None] * w.imag)[:, :-1]
 
     @property
     def n_dof(self) -> int:
@@ -254,14 +284,8 @@ def _unit_powers(phase: np.ndarray, n: int) -> np.ndarray:
     return (coarse[:, :, None] * fine[:, None, :]).reshape(phase.size, -1)[:, : n + 1]
 
 
-def _zoh_march(
-    basis: ModalBasis,
-    modal_force: np.ndarray,
-    q0: np.ndarray,
-    qd0: np.ndarray,
-    dt: float,
-):
-    """Exact zero-order-hold march of decoupled modal oscillators.
+def _zoh_march(spec: StructureSpec, modal_force: np.ndarray, q0: np.ndarray, qd0: np.ndarray):
+    """Exact zero-order-hold march of the decoupled modal oscillators of ``spec``.
 
     With the force f held over each step, ``w = q + i qd / omega`` obeys
     ``w[k+1] = rho w[k] + (1 - rho) f[k] / delta`` with ``rho = exp(-i omega dt)``,
@@ -269,12 +293,13 @@ def _zoh_march(
     Undamped, ``|rho| = 1`` and ``rho^-k = conj(rho^k)``, so the sum is one
     cumulative sum along time for all modes at once.
     modal_force: (p, n_steps) forcing per mode, held constant over each step.
-    Returns modal displacement/velocity histories (p, n_steps + 1) sampled at
-    step starts; the last column is the state after the final step.
+    Returns the history of w, (p, n_steps + 1) sampled at step starts: the
+    modal displacement is ``w.real`` and the modal velocity ``omega * w.imag``;
+    the last column is the state after the final step.
     """
-    delta = basis.eigenvalues
+    delta = spec._basis.eigenvalues
     omega = np.sqrt(delta)
-    powers = _unit_powers(omega * dt, modal_force.shape[1])  # rho^k
+    powers = spec._rho_powers(modal_force.shape[1])  # rho^k
     w = np.empty(powers.shape, dtype=complex)
     w[:, 0] = q0 + 1j * qd0 / omega
     np.conjugate(powers[:, 1:], out=w[:, 1:])
@@ -282,7 +307,7 @@ def _zoh_march(
     w[:, 1:] *= ((1.0 - powers[:, 1]) / delta)[:, None]
     np.cumsum(w, axis=1, out=w)
     w *= powers
-    return w.real, omega[:, None] * w.imag
+    return w
 
 
 def _march(spec: StructureSpec, x, v, pattern, force, base: bool) -> ResponseRecord:
@@ -296,16 +321,15 @@ def _march(spec: StructureSpec, x, v, pattern, force, base: bool) -> ResponseRec
     # mass-normalized basis: q = Phi^T M x
     q0, qd0 = phi.T @ (spec.masses * x), phi.T @ (spec.masses * v)
     modal_force = (phi.T @ pattern)[:, None] * force[None, :]
-    q, qd = _zoh_march(basis, modal_force, q0, qd0, spec.dt)
-    qdd = -basis.eigenvalues[:, None] * q[:, :-1]
+    w = _zoh_march(spec, modal_force, q0, qd0)
+    qdd = -basis.eigenvalues[:, None] * w.real[:, :-1]
     if not base:
         qdd += modal_force  # qdd = H - delta q, so acceleration superposes exactly
     return ResponseRecord(
-        displacements=phi @ q[:, :-1],
-        velocities=phi @ qd[:, :-1],
         accelerations=phi @ qdd,
         excitation_trace=force,
         dt=spec.dt,
+        _modal=(phi, np.sqrt(basis.eigenvalues), w),
     )
 
 

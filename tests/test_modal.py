@@ -31,6 +31,7 @@ from shmsim.modal import (
     extract_round_modes,
     modal_assurance,
     normalize_mode,
+    resolve_global_signs,
 )
 from shmsim.sensing import SignalWindow
 from shmsim.structure import ExcitationSpec, eigen_modes, simulate_response, uniform_chain
@@ -137,7 +138,13 @@ class TestSegmentSpectra:
             assert np.array_equal(spectra.freqs, scipy_freqs)
             assert np.array_equal(spectra.psd[0], scipy_psd)
             assert np.array_equal(spectra.psd[1], scipy_reference_psd)
-            assert np.array_equal(spectra.cross(0, 1), scipy_cross)
+            # the batched path at every bin, in shuffled order, so at whichever bins a pass picks
+            bins = rng.permutation(scipy_freqs.size)
+            cross = spectra.cross_at(np.zeros_like(bins), np.ones_like(bins), bins)
+            assert np.array_equal(cross, scipy_cross[bins])
+            # DC and the last bin are nonzero, so a mask that doubled DC, or got the
+            # last bin's parity wrong, would break the equality above
+            assert scipy_cross[0] != 0 and scipy_cross[-1] != 0
 
     @pytest.mark.parametrize("dt", [0.02, 0.003])
     @pytest.mark.parametrize("n", [1, 7, 100, 101, 256])
@@ -263,6 +270,62 @@ class TestRoundExtraction:
         assert extract_round_modes([], ModalConfig()) == []
 
 
+class TestPickedBinSigns:
+    """A sign comes from the CSD at a picked bin; each case equals the scipy oracle bit for bit."""
+
+    @staticmethod
+    def _check(pairs, config):
+        estimates = extract_round_modes(pairs, config)
+        for est, (window, reference) in zip(estimates, pairs):
+            want = _scipy_extraction(window, config, reference)
+            assert (est.sensor_id, est.round_index, est.reference_id) == (
+                want.sensor_id, want.round_index, want.reference_id
+            )
+            assert np.array_equal(est.frequencies, want.frequencies)
+            assert np.array_equal(est.amplitudes, want.amplitudes)
+        return estimates
+
+    def test_peak_at_the_dc_bin(self):
+        """One 64-sample segment: a cosine at bin 1 plus twice that at bin 2 cancels the
+        windowed bin 1, so DC is the strongest bin two away from the bin-2 peak."""
+        rng = np.random.default_rng(11)
+        t = np.arange(64)
+        x = np.cos(2 * np.pi * t / 64) + 2 * np.cos(4 * np.pi * t / 64) + 1e-3 * rng.standard_normal(64)
+        pairs = [(_window(x), _window(-x + 1e-3 * rng.standard_normal(64), sensor_id=1))]
+        config = ModalConfig(segment_length=64, band=(0.0, math.inf), peak_snr=8.0, max_modes=3)
+        est = self._check(pairs, config)[0]
+        assert est.frequencies[0] == 0.0 and est.amplitudes[0] < 0.0  # the flipped reference
+
+    @pytest.mark.parametrize("segment_length", [64, 63])
+    def test_peak_at_the_top_bin(self, segment_length):
+        """Even segment: the Nyquist bin, never doubled; odd: the last bin, which is doubled."""
+        rng = np.random.default_rng(segment_length)
+        x = 3.0 * (-1.0) ** np.arange(640) + rng.standard_normal(640)
+        pairs = [(_window(x), _window(-x + 0.1 * rng.standard_normal(640), sensor_id=1))]
+        config = ModalConfig(segment_length=segment_length, peak_snr=4.0, max_modes=2)
+        est = self._check(pairs, config)[0]
+        assert est.frequencies[-1] == np.fft.rfftfreq(segment_length, 0.01)[-1]
+        assert est.amplitudes[-1] < 0.0
+
+    def test_flat_own_missing_references_and_two_lengths_in_one_pass(self):
+        spec = uniform_chain(10, 1000.0, 1.769e6, 0.02, 82.0)
+        acc = simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=21)).accelerations
+        long = [_window(acc[ch, :2048], sensor_id=ch, dt=0.02) for ch in range(6)]
+        short = [_window(acc[ch, :1500], sensor_id=ch, dt=0.02) for ch in range(6, 10)]
+        flat = _window(np.full(2048, 0.4), sensor_id=9, dt=0.02)
+        pairs = [
+            (long[1], long[0]), (long[2], long[1]), (long[3], long[3]), (long[4], flat),
+            (long[5], None), (short[1], short[0]), (short[2], short[1]), (short[3], short[3]),
+        ]
+        config = ModalConfig(segment_length=256, band=(0.5, 6.0), peak_snr=4.0, max_modes=3)
+        estimates = self._check(pairs, config)
+        assert [e.reference_id for e in estimates] == [0, 1, 3, 4, 5, 6, 7, 9]
+        assert all(not e.is_empty for e in estimates)
+        for est, pair in zip(estimates, pairs):  # and each equals its own lone pass
+            alone = extract_round_modes([pair], config)[0]
+            assert np.array_equal(est.amplitudes, alone.amplitudes)
+
+
 class TestAssembly:
     def _estimate(self, node, freqs, amps, ref=None):
         return LocalModeEstimate(
@@ -309,12 +372,151 @@ class TestAssembly:
         vec = shape.mode(0)
         assert vec[0] > 0 and vec[1] > 0 and vec[2] < 0
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_sensor_id_outside_the_locations_rejected(self, bad):
+        estimates = [self._estimate(n, [1.0], [0.5]) for n in (0, 1, 2)]
+        estimates.append(self._estimate(bad, [1.0], [0.5]))
+        for n_locations in (4, None):
+            if bad == 4 and n_locations is None:
+                continue  # then the locations run to the largest id
+            with pytest.raises(ModalError, match=rf"sensor ids \[{bad}\] lie outside"):
+                assemble_global(estimates, tolerance_hz=0.1, n_locations=n_locations)
+
     def test_normalization_idempotent(self):
         vec = np.array([0.2, -0.8, 0.5, np.nan])
         once = normalize_mode(vec)
         twice = normalize_mode(once)
         assert np.array_equal(once[np.isfinite(once)], twice[np.isfinite(twice)])
         assert np.nanmax(np.abs(once)) == 1.0
+
+
+def _list_assembly(estimates, tolerance_hz, n_locations=None, round_index=0):
+    """The clustering as first written: Python lists of entries and ``np.mean`` of a
+    fresh list for each running mean. The oracle of ``assemble_global``."""
+    estimates = list(estimates)
+    if len(estimates) < 2:
+        raise ModalError("assembly needs at least two estimates")
+    by_node = {e.sensor_id: e for e in estimates}
+    if n_locations is None:
+        n_locations = max(by_node) + 1
+    reporting = [e for e in estimates if not e.is_empty]
+    diagnostics = []
+    if not reporting:
+        raise ModalError("no node reported any mode")
+    sign_fix = resolve_global_signs(by_node)
+    entries = []
+    for e in reporting:
+        for f, a in zip(e.frequencies, e.amplitudes):
+            entries.append((float(f), e.sensor_id, float(a) * sign_fix[e.sensor_id]))
+    entries.sort()
+    clusters = []
+    for f, node, amp in entries:
+        if clusters and f - np.mean([x[0] for x in clusters[-1]]) <= tolerance_hz:
+            clusters[-1].append((f, node, amp))
+        else:
+            clusters.append([(f, node, amp)])
+    quorum = len(reporting) / 2.0
+    freqs, columns, missing_cols = [], [], []
+    for cluster in clusters:
+        nodes = {}
+        for f, node, amp in cluster:
+            if node not in nodes or abs(amp) > abs(nodes[node][1]):
+                nodes[node] = (f, amp)
+        if len(nodes) <= quorum:
+            diagnostics.append(
+                f"cluster at {np.mean([c[0] for c in cluster]):.3f} Hz covers "
+                f"{len(nodes)}/{len(reporting)} reporting nodes; below quorum, omitted"
+            )
+            continue
+        vec = np.full(n_locations, np.nan)
+        for node, (f, amp) in nodes.items():
+            vec[node] = amp
+        freqs.append(float(np.mean([f for f, _ in nodes.values()])))
+        columns.append(normalize_mode(vec))
+        missing_cols.append(~np.isfinite(vec))
+    if not columns:
+        raise ModalError("no frequency cluster reached quorum; " + "; ".join(diagnostics))
+    order = np.argsort(freqs)
+    return GlobalModeShape(
+        frequencies=np.asarray(freqs)[order],
+        vectors=np.column_stack(columns)[:, order],
+        missing=np.column_stack(missing_cols)[:, order],
+        round_index=round_index,
+        diagnostics=diagnostics,
+    )
+
+
+@st.composite
+def assembly_cases(draw):
+    """Estimates whose frequencies sit on an FFT bin grid, often repeated across nodes,
+    with clusters of up to 30 entries (numpy's pairwise sum starts past 8) and a
+    tolerance that is a multiple of the bin width, so gaps land exactly on it."""
+    df = draw(st.sampled_from([0.25, 1 / (256 * 0.02), 1 / (100 * 0.02), 1 / (550 * 0.02)]))
+    tolerance = df * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    start = draw(st.integers(0, 40))
+    grid = [start + k for k in draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))]
+    nudges = draw(st.sampled_from([(0.0,), (0.0, 1e-9, -0.3 * df)]))  # on the grid, or off it
+    n_nodes = draw(st.integers(2, 30))
+    estimates = []
+    for node in range(n_nodes):
+        bins = draw(st.lists(st.sampled_from(grid), max_size=3))
+        nudge = draw(st.sampled_from(nudges))
+        freqs = [k * df + (nudge if k else 0.0) for k in bins]
+        amps = [draw(st.floats(-2.0, 2.0, allow_subnormal=False)) for _ in bins]
+        ref = draw(st.integers(0, n_nodes - 1))
+        estimates.append(LocalModeEstimate(node, 0, np.array(freqs), np.array(amps), ref))
+    return estimates, tolerance
+
+
+class TestAssemblyOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(case=assembly_cases())
+    def test_equals_list_clustering(self, case):
+        estimates, tolerance = case
+        try:
+            want = _list_assembly(estimates, tolerance, round_index=3)
+        except ModalError as exc:
+            with pytest.raises(ModalError) as raised:
+                assemble_global(estimates, tolerance, round_index=3)
+            assert str(raised.value) == str(exc)
+            return
+        got = assemble_global(estimates, tolerance, round_index=3)
+        assert got.round_index == want.round_index
+        assert got.diagnostics == want.diagnostics
+        for a, b in ((got.frequencies, want.frequencies), (got.vectors, want.vectors)):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(got.missing, want.missing)
+
+    def test_running_mean_is_numpys_pairwise_mean(self):
+        """16 frequencies whose pairwise mean is one ulp above their sequential mean; the
+        last report joins at that mean plus the tolerance, and would split off under a
+        left-to-right sum."""
+        freqs = [
+            0.9096855506069126, 0.9121794827181018, 0.9128986141740181, 0.913388649702695,
+            0.9139794045592439, 0.9168478209719274, 0.9179039808182861, 0.9188555323102696,
+            1.0012681710226126, 1.002698367855008, 1.003159435453677, 1.0034429573096233,
+            1.0051070650554363, 1.0086312020418933, 1.0086477829540077, 1.0099491734816093,
+            1.1417333812578894,
+        ]
+        tolerance = 2 / (550 * 0.02)
+        assert freqs[-1] - np.mean(freqs[:-1]) <= tolerance < freqs[-1] - sum(freqs[:-1]) / 16
+        estimates = [
+            LocalModeEstimate(n, 0, np.array([f]), np.array([1.0]), n) for n, f in enumerate(freqs)
+        ]
+        shape = assemble_global(estimates, tolerance)
+        assert shape.n_modes == 1 and not shape.missing.any() and not shape.diagnostics
+
+    def test_gap_exactly_at_the_tolerance_joins(self):
+        estimates = [
+            LocalModeEstimate(n, 0, np.array([f]), np.array([1.0]), n)
+            for n, f in enumerate([1.0, 1.0, 1.25, 1.5, 1.75])
+        ]
+        # running means 1.0, 1.0, 1.0833..: 1.25 joins at exactly 0.25, 1.5 does not
+        shape = assemble_global(estimates, 0.25)
+        assert shape.frequencies.tolist() == [1.0833333333333333]
+        assert shape.diagnostics == [
+            "cluster at 1.625 Hz covers 2/5 reporting nodes; below quorum, omitted"
+        ]
 
 
 class TestCurvature:
@@ -355,6 +557,18 @@ class TestModalAssurance:
 
     def test_orthogonal_shapes(self):
         assert modal_assurance(np.array([1.0, 1.0]), np.array([1.0, -1.0])) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0.0, 0.0, 1.0], [1.0, 2.0, np.nan]),  # zero where both are finite
+            ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+            ([0.0, 0.0], [0.0, 0.0]),
+        ],
+    )
+    def test_zero_vector_on_shared_locations_rejected(self, a, b):
+        with pytest.raises(ModalError, match="zero on the shared locations"):
+            modal_assurance(np.array(a), np.array(b))
 
 
 class TestAssembledAccuracy:

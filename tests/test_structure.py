@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
+from shmsim import structure
+from shmsim.scenario import run_scenario, validate_config
 from shmsim.structure import (
     DamageSpec,
     ExcitationSpec,
     StructureError,
     StructureSpec,
+    _unit_powers,
     _zoh_march,
     apply_damage,
     discrete_state_space,
@@ -334,7 +337,8 @@ class TestZohMarch:
         rng = np.random.default_rng(n_dof)
         force = delta[:, None] * rng.standard_normal((n_dof, n_steps))
         q0, qd0 = rng.standard_normal(n_dof), omega * rng.standard_normal(n_dof)
-        q, qd = _zoh_march(basis, force, q0, qd0, spec.dt)
+        march = _zoh_march(spec, force, q0, qd0)
+        q, qd = march.real, omega[:, None] * march.imag
         rho = np.exp(-1j * omega * spec.dt)
         w = np.empty((n_dof, n_steps + 1), dtype=complex)
         w[:, 0] = q0 + 1j * qd0 / omega
@@ -343,6 +347,81 @@ class TestZohMarch:
         for got, ref in ((q, w.real), (qd, omega[:, None] * w.imag)):
             err = np.max(np.abs(got - ref), axis=1)
             assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
+
+
+    @pytest.mark.parametrize("location", [None, 3])
+    def test_lazy_states_equal_the_eager_map(self, location):
+        """A record's displacements and velocities are the eager map of the march, bit for bit."""
+        spec = uniform_chain(12, 1000.0, 1.769e6, 0.02, 11.0)
+        excitation = ExcitationSpec("white_noise", 1.0, location=location, seed=9)
+        rec = simulate_response(spec, excitation)
+        assert "displacements" not in vars(rec) and "velocities" not in vars(rec)
+        basis = eigen_modes(spec)
+        phi, omega = basis.mode_shapes, np.sqrt(basis.eigenvalues)
+        pattern = -spec.masses if location is None else np.eye(spec.n_dof)[location]
+        force = (phi.T @ pattern)[:, None] * rec.excitation_trace[None, :]
+        w = _zoh_march(spec, force, np.zeros(spec.n_dof), np.zeros(spec.n_dof))
+        q, qd = w.real, omega[:, None] * w.imag
+        assert np.array_equal(rec.displacements, phi @ q[:, :-1])
+        assert np.array_equal(rec.velocities, phi @ qd[:, :-1])
+        assert rec.displacements is rec.displacements  # computed once
+
+
+class TestPhaseTableCache:
+    """One modal phase table per (spec, march length), shared read-only, and runs that
+    read accelerations only compute no displacements or velocities."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+
+        def counting(phase, n):
+            calls.append((phase.size, n))
+            return _unit_powers(phase, n)
+
+        monkeypatch.setattr(structure, "_unit_powers", counting)
+        return calls
+
+    def test_one_table_per_spec_and_length(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        spec = uniform_chain(5, 1.0, 500.0, 0.01, 2.0)
+        for seed in range(3):
+            simulate_response(spec, ExcitationSpec("white_noise", 1.0, seed=seed))
+        free_vibration(spec, np.ones(5), np.zeros(5))
+        assert calls == [(5, 200)]
+        longer = uniform_chain(5, 1.0, 500.0, 0.01, 3.0)
+        simulate_response(longer, ExcitationSpec("sine", 1.0, frequency=2.0))
+        damaged = apply_damage(spec, DamageSpec(location=1, severity=0.3))
+        simulate_response(damaged, ExcitationSpec("impulse", 1.0, location=0))
+        assert calls == [(5, 200), (5, 300), (5, 200)]
+        with pytest.raises(ValueError, match="read-only"):
+            spec._rho_powers(200)[0, 0] = 0.0
+
+    def test_cached_table_equals_a_fresh_one(self):
+        spec = uniform_chain(7, 2.0, 800.0, 0.01, 1.0)
+        fresh = _unit_powers(np.sqrt(eigen_modes(spec).eigenvalues) * spec.dt, 100)
+        assert np.array_equal(spec._rho_powers(100), fresh)
+        assert spec._rho_powers(100) is spec._rho_powers(100)
+
+    def test_a_run_builds_one_table_per_spec_and_no_states(self, monkeypatch, tmp_path):
+        calls = self._count(monkeypatch)
+
+        def unread(record):
+            raise AssertionError("a run read a displacement or velocity history")
+
+        monkeypatch.setattr(structure.ResponseRecord, "displacements", property(unread))
+        monkeypatch.setattr(structure.ResponseRecord, "velocities", property(unread))
+        config = {
+            "seed": 3,
+            "monitoring": {"training_rounds": 5, "rounds": 2, "n_averages": 10, "segment_length": 100},
+            "detection": {"R": 4},
+            "faults": [{"kind": "stuck_constant", "sensor_id": 5, "onset_round": 5}],
+            "damage": {"location": 4, "severity": 0.2, "onset_round": 6},
+        }
+        run_scenario(config, str(tmp_path))
+        cfg, _ = validate_config(config)
+        # the healthy spec and the damaged one, each at the run's march length
+        assert calls == [(10, cfg.spec.n_samples)] * 2
 
 
 class TestApplyDamage:

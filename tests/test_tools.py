@@ -1,11 +1,18 @@
-"""tools/: artifact_drift.py (byte equality per file and per-field numeric drift) and
+"""tools/: artifact_drift.py (byte equality per file and per-field numeric drift),
+artifact_trees.py (the fixed run trees that identity checks compare) and
 bench_pairs.py (alternating benchmark pairs, their ratios and verdicts)."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+from conftest import standard_config
+
+from shmsim.scenario import run_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -18,6 +25,7 @@ def _load(name):
 
 
 artifact_drift = _load("artifact_drift")
+artifact_trees = _load("artifact_trees")
 bench_pairs = _load("bench_pairs")
 
 
@@ -48,6 +56,43 @@ def test_identical_trees_exit_zero(tmp_path):
     for side in "ab":
         _tree(tmp_path / side, "0.25", "faulty", {"mean": 1.0})
     assert artifact_drift.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+
+
+def test_artifact_trees_seed_ranges():
+    assert artifact_trees.parse_seeds("1-3") == [1, 2, 3]
+    assert artifact_trees.parse_seeds("4") == [4]
+    for text in ("3-1", "x", "1-y"):
+        with pytest.raises(ValueError):
+            artifact_trees.parse_seeds(text)
+
+
+def test_artifact_trees_writes_every_family(tmp_path):
+    """The thread setting comes first; each family's tree is the run it names."""
+    out = tmp_path / "trees"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("OMP_NUM_THREADS", None)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "artifact_trees.py"), str(ROOT), str(out), "--seeds", "2"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.splitlines()[0] == (
+        "threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS="
+        + os.environ.get("MKL_NUM_THREADS", "unset")
+    )
+    assert sorted(os.listdir(out)) == ["compare", "field", "missing_node", "standard"]
+    for family in ("standard", "missing_node", "field"):
+        assert (out / family / "seed_02" / "summary.json").is_file()
+    compare = out / "compare" / "seed_02"
+    assert (compare / "comparison.csv").is_file() and (compare / "dependshm" / "summary.json").is_file()
+    # the 10-story trees do not depend on the BLAS thread count
+    run_scenario(standard_config(2), str(tmp_path / "alone"))
+    assert artifact_drift.compare_trees(str(out / "standard" / "seed_02"), str(tmp_path / "alone"), lambda _: None)
+
+
+def test_artifact_trees_rejects_bad_arguments(tmp_path):
+    assert artifact_trees.main([str(tmp_path), str(tmp_path / "out")]) == 2  # no tests/conftest.py
+    assert artifact_trees.main([str(ROOT), str(tmp_path / "out"), "--seeds", "2-1"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def _bench_stdout(run_s, setup_s, correct=True, failed=0, prefix=""):
