@@ -9,15 +9,15 @@ Channels assumed faulty get their measurement variance inflated, which makes
 the filter reconstruct them from the healthy channels and the model.
 
 The filter is stationary: its gain comes from the steady Riccati covariance,
-so the state obeys a linear recurrence with one fixed matrix, and a whole
-block runs as a log-depth (Hillis-Steele) prefix scan rather than one step
-per sample. The doubling solve and the scan run on stacks of systems, each
-with its own A, H, Q, R and block or sharing them: the missing-sensor scan's
-leave-one-out filters differ only in their measurement noise, and a round's
-reconstructions (``reconstruct_round``) stack every filter of one state
-dimension, channel count and block length. Every system's result equals its
-lone run bit for bit; ``run_filter`` and ``reconstruct_signals`` are the
-stacks of one.
+so the state obeys a linear recurrence with one fixed matrix, and a block runs
+as a log-depth (Hillis-Steele) prefix scan rather than one step per sample.
+Every filter runs through one runner, ``_filters``: one doubling solve per
+stack of systems (each with its own A, H, Q, R and block, or sharing them), a
+lone solve per system of a stack that fails, and one scan per system. The
+missing-sensor scan's candidates differ only in R, and ``reconstruct_round``
+stacks every filter of one state dimension, channel count and block length.
+Every outcome equals its lone run's bit for bit; ``run_filter`` and
+``reconstruct_signals`` are the stacks of one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .structure import StructureSpec, discrete_state_space
 # histogram bins of the missing-sensor scan's KL divergence
 SCAN_BINS = 16
 # elements of a prefix-scan pass's temporary (128 KiB of float64); a pass runs in
-# tiles of rows and systems that fit, and a round's reconstructions stack by it
+# tiles of rows that fit, and the doubling solve stacks SCAN_BUFFER // n^2 systems
 SCAN_BUFFER = 1 << 14
 
 
@@ -152,8 +152,7 @@ def filter_for_structure(
 def _noise_information(h, r):
     """H^T R^-1 H for each R of the (k, m, m) stack; ``h`` is shared or a (k, m, n) stack.
 
-    Raises KalmanError for the first R that cannot be solved, with the message
-    that R alone would get.
+    Raises KalmanError if any R cannot be solved, with the condition number of ``r[0]``.
     """
     with np.errstate(all="ignore"):
         try:
@@ -162,9 +161,6 @@ def _noise_information(h, r):
             g = np.nan
         if np.isfinite(g).all():
             return g
-        if len(r) > 1:  # one system at a time, to name the first singular R
-            hs = np.broadcast_to(h, (len(r), *h.shape[-2:]))
-            return np.concatenate([_noise_information(h_i, r_i[None]) for h_i, r_i in zip(hs, r)])
         raise KalmanError(
             f"singular measurement noise covariance (condition number {np.linalg.cond(r[0]):.3e})"
         )
@@ -182,7 +178,8 @@ def _steady_prior_covariance(a, h, q, r):
     double together, and each one is set aside once its own P no longer
     changes, which happens at the latest when its doubled closed-loop
     transition underflows to zero. So every slice is the solve of that system
-    alone, and a system that fails raises the error it would raise alone.
+    alone. A stack that fails raises KalmanError, and the one runner,
+    ``_filters``, then solves its systems one at a time, each to its own outcome.
     """
     k, n = len(r), a.shape[-1]
     g = _noise_information(h, r)
@@ -225,37 +222,26 @@ def _stationary_gains(a, h, q, r):
     return p, np.linalg.solve(hp @ h.mT + r, hp)  # K^T = S^-1 H P
 
 
-def _scan_tiles(n_steps: int, n: int) -> tuple:
-    """(rows, systems) of a prefix-scan tile: a lone system's rows, and as many systems
-    as fit in ``SCAN_BUFFER`` elements with them."""
-    rows = max(1, min(n_steps, SCAN_BUFFER // n))
-    return rows, max(1, SCAN_BUFFER // (rows * n))
-
-
 def _prefix_scan(a, h, gain_t, x0, measurements):
-    """(k, T + 1, n) posterior states of k stationary filters, row 0 the initial state.
+    """(T + 1, n) posterior states of one stationary filter, row 0 the initial state.
 
-    ``gain_t`` is the (k, m, n) stack of transposed gains; A, H, the initial
-    state and the (m, T) block are shared or stacks of k. A filter's posterior
-    state follows x_t = x_{t-1} F + K m_t (row vectors) with one fixed
-    F = (A - K H A)^T. That linear recurrence runs as a Hillis-Steele prefix
-    scan (Blelloch, CMU-CS-90-190, 1990): pass s adds x_{t-s} F^s to every row
-    t >= s, with s doubling and F squared after each pass, so T samples take
-    ceil(log2(T + 1)) passes over the whole stack. A pass runs in the tiles of
-    ``_scan_tiles``, so a large stack adds no second stack-sized temporary and
-    every system's states are the same products as its lone run's. A closed
-    loop with an eigenvalue outside the unit circle (only a growing mode that
-    no process noise drives and no channel measures has one) raises
+    ``gain_t`` is the (m, n) transposed gain and ``measurements`` the (m, T)
+    block. The state follows x_t = x_{t-1} F + K m_t (row vectors) with one
+    fixed F = (A - K H A)^T, run as a Hillis-Steele prefix scan (Blelloch,
+    CMU-CS-90-190, 1990): pass s adds x_{t-s} F^s to every row t >= s, with s
+    doubling and F squared after each pass, so T samples take
+    ceil(log2(T + 1)) passes, each in row tiles of ``SCAN_BUFFER`` elements.
+    A closed loop with an eigenvalue outside the unit circle (only a growing
+    mode that no process noise drives and no channel measures has one) raises
     KalmanError once a power of F overflows.
     """
-    n_steps = measurements.shape[-1]
-    power = (a - gain_t.mT @ (h @ a)).mT  # F, then F^2, F^4, ...
-    k, n = len(gain_t), a.shape[-1]
-    xs = np.empty((k, n_steps + 1, n))
-    xs[:, 0] = x0
-    np.matmul(measurements.mT, gain_t, out=xs[:, 1:])  # the drive K m_t
-    rows, width = _scan_tiles(n_steps, n)
-    carry = np.empty((min(k, width), rows, n))  # x_{t-s} F^s of one tile
+    n_steps, n = measurements.shape[1], a.shape[0]
+    power = (a - gain_t.T @ (h @ a)).T  # F, then F^2, F^4, ...
+    xs = np.empty((n_steps + 1, n))
+    xs[0] = x0
+    np.matmul(measurements.T, gain_t, out=xs[1:])  # the drive K m_t
+    rows = max(1, min(n_steps, SCAN_BUFFER // n))
+    carry = np.empty((rows, n))  # x_{t-s} F^s of one tile
     s = 1
     while True:
         # row tiles from the end backwards: a tile reads rows below its own end only,
@@ -263,11 +249,9 @@ def _prefix_scan(a, h, gain_t, x0, measurements):
         hi = n_steps + 1
         while hi > s:
             lo = max(s, hi - rows)
-            for b in range(0, k, width):
-                e = min(k, b + width)
-                tile = carry[: e - b, : hi - lo]
-                np.matmul(xs[b:e, lo - s : hi - s], power[b:e], out=tile)
-                xs[b:e, lo:hi] += tile
+            tile = carry[: hi - lo]
+            np.matmul(xs[lo - s : hi - s], power, out=tile)
+            xs[lo:hi] += tile
             hi = lo
         s *= 2
         if s > n_steps:
@@ -280,15 +264,36 @@ def _prefix_scan(a, h, gain_t, x0, measurements):
             )
 
 
-def _stationary_filters(a, h, q, r, x0, measurements):
-    """Run k stationary filters, each with its own R, sharing or stacking the rest.
+def _filters(a, h, q, r, x0, blocks):
+    """Yield each of k stationary filters' (states, p, gain_t), or its lone run's KalmanError.
 
     ``r`` is the (k, m, m) stack of measurement noise covariances; A, H, Q, the
-    initial state and the (m, T) block are shared or stacks of k. Returns
-    (xs, p, gain_t): the ``_prefix_scan`` states under the ``_stationary_gains``.
+    initial state and the (m, T) block are shared or stacks of k. ``p`` and
+    ``gain_t`` come from ``_stationary_gains``, solved in stacks of at most
+    ``SCAN_BUFFER // n^2`` systems; only a stack that fails is solved again,
+    one system at a time. ``states`` is the system's ``_prefix_scan``, run when
+    its outcome is consumed. Every outcome equals the lone run's bit for bit.
     """
-    p, gain_t = _stationary_gains(a, h, q, r)
-    return _prefix_scan(a, h, gain_t, x0, measurements), p, gain_t
+    k, n = len(r), a.shape[-1]
+    a, h, q, blocks = (np.broadcast_to(v, (k, *v.shape[-2:])) for v in (a, h, q, blocks))
+    x0 = np.broadcast_to(x0, (k, n))
+
+    def solve(part):  # each system's (p, gain_t) from one doubling stack
+        return list(zip(*_stationary_gains(a[part], h[part], q[part], r[part])))
+
+    step = max(1, SCAN_BUFFER // (n * n))
+    for lo in range(0, k, step):
+        stack = range(lo, min(k, lo + step))
+        try:
+            gains = solve(slice(lo, stack.stop))
+        except KalmanError:  # the error path: solve each system alone, to its own outcome
+            gains = [None] * len(stack)
+        for i, gain in zip(stack, gains):
+            try:
+                p, gain_t = gain or solve(slice(i, i + 1))[0]
+                yield _prefix_scan(a[i], h[i], gain_t, x0[i], blocks[i]), p, gain_t
+            except KalmanError as err:
+                yield err.with_traceback(None)  # a kept error holds no frame, nor its arrays
 
 
 def run_filter(state: KalmanFilterState, measurements: np.ndarray):
@@ -301,10 +306,9 @@ def run_filter(state: KalmanFilterState, measurements: np.ndarray):
     covariance P of A, H, Q and R, so every sample runs through the
     time-invariant (Wiener) filter x <- (A - K H A) x + K m_t from
     ``state.x``, evaluated as a log-depth prefix scan over the block. This is
-    the batch of one of the path that ``missing_sensor_scan`` runs all its
-    leave-one-out filters through as one stack. On return ``state.gain`` is K
-    and ``state.P`` the steady posterior covariance; an empty block leaves
-    the state untouched.
+    the stack of one of ``_filters``, the runner every filter goes through.
+    On return ``state.gain`` is K and ``state.P`` the steady posterior
+    covariance; an empty block leaves the state untouched.
     """
     rows, n_steps = measurements.shape
     if rows != state.measurement.shape[0]:
@@ -312,10 +316,12 @@ def run_filter(state: KalmanFilterState, measurements: np.ndarray):
     if not n_steps:
         return np.empty((rows, 0)), np.empty((rows, 0))
     a, h = state.transition, state.measurement
-    xs, p, gain_t = _stationary_filters(
+    (outcome,) = _filters(
         a, h, state.process_noise, state.measurement_noise[None], state.x, measurements
     )
-    xs, p, gain_t = xs[0], p[0], gain_t[0]
+    if isinstance(outcome, KalmanError):
+        raise outcome
+    xs, p, gain_t = outcome
     p_post = p - gain_t.T @ (h @ p)
     state.x, state.P, state.gain = xs[-1].copy(), 0.5 * (p_post + p_post.T), gain_t.T
     return _outputs(a, h, xs, measurements)
@@ -347,11 +353,19 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
     boundary cut; equal sub-chains share one spec and its cached model.
     Returns (ref, block, make_filter): the first delivered window, the
     (channels, T) block and ``make_filter(inflated)``, which builds the
-    filter with the channels in ``inflated`` variance-inflated.
+    filter with the channels in ``inflated`` variance-inflated. Raises
+    KalmanError for channel ids outside the structure's DOFs and for
+    delivered windows of unequal length.
     """
+    outside = [ch for ch in channels if not 0 <= ch < structure.n_dof]
+    if outside:
+        raise KalmanError(f"channel ids {outside} are outside 0..{structure.n_dof - 1}")
     ref = next((windows[ch] for ch in channels if windows.get(ch) is not None), None)
     if ref is None:
         raise KalmanError("no channel delivered a window")
+    lengths = sorted({windows[ch].length for ch in channels if windows.get(ch) is not None})
+    if len(lengths) > 1:
+        raise KalmanError(f"windows of unequal lengths {lengths} in one scope")
     block = np.zeros((len(channels), ref.length))
     for i, ch in enumerate(channels):
         if windows.get(ch) is not None:
@@ -395,6 +409,9 @@ class _Job:
 def _reconstruction_job(faulty_set, all_windows, structure, config, noise_var):
     """The filter job of one reconstruction, or None when no channel is faulty."""
     channels = sorted(all_windows)
+    unknown = sorted(set(faulty_set) - set(channels))
+    if unknown:
+        raise KalmanError(f"faulty channels {unknown} have no entry in the job's windows")
     faulty = set(faulty_set) | {ch for ch in channels if all_windows[ch] is None}
     if not faulty:
         return None
@@ -410,47 +427,9 @@ def _reconstruction_job(faulty_set, all_windows, structure, config, noise_var):
     return _Job(channels, sorted(faulty), ref, block, make_filter(faulty))
 
 
-def _filter_outputs(jobs: list):
-    """Yield each job's ``run_filter`` (estimates, innovations), or the KalmanError it raises.
-
-    One doubling solve serves every job, and the prefix scans run in stacks of
-    as many jobs as one scan tile spans, each made as the outputs are consumed,
-    so the states of one such stack at most are alive. Jobs whose solve or scan
-    fails are run again through ``run_filter`` one at a time, which only the
-    error path pays.
-    """
-
-    def lone(part):
-        for job in part:
-            try:
-                yield run_filter(job.state, job.block)
-            except KalmanError as err:
-                yield err.with_traceback(None)  # a kept error holds no frame, nor its arrays
-
-    a, h, q, r, x0 = (
-        np.stack([getattr(job.state, name) for job in jobs])
-        for name in ("transition", "measurement", "process_noise", "measurement_noise", "x")
-    )
-    try:
-        gain_t = _stationary_gains(a, h, q, r)[1]
-    except KalmanError:
-        yield from lone(jobs)
-        return
-    width = _scan_tiles(jobs[0].block.shape[1], a.shape[-1])[1]
-    for b in range(0, len(jobs), width):
-        part = slice(b, b + width)
-        blocks = np.stack([job.block for job in jobs[part]])
-        try:
-            xs = _prefix_scan(a[part], h[part], gain_t[part], x0[part], blocks)
-        except KalmanError:
-            yield from lone(jobs[part])
-            continue
-        for job, states in zip(jobs[part], xs):
-            yield _outputs(job.state.transition, job.state.measurement, states, job.block)
-
-
-def _results(job: _Job, est: np.ndarray, innov: np.ndarray, round_index: int, truth) -> list:
-    """One ReconstructionResult per faulty channel of ``job`` from its filter outputs."""
+def _results(job: _Job, states: np.ndarray, round_index: int, truth) -> list:
+    """One ReconstructionResult per faulty channel of ``job`` from its filter's states."""
+    est, innov = _outputs(job.state.transition, job.state.measurement, states, job.block)
     results = []
     for ch in job.faulty:
         row = job.channels.index(ch)
@@ -488,10 +467,9 @@ def reconstruct_round(
     Returns, per job in order, what ``reconstruct_signals(faulty_set,
     all_windows, structure, ...)`` returns, or the KalmanError that call
     raises. Jobs whose filters share state dimension n, channel count and
-    block length run together: one doubling solve per stack of at most
-    ``SCAN_BUFFER // n^2`` jobs, and their prefix scans in stacks of one
-    scan tile (see ``_filter_outputs``). Each job's results equal its lone
-    call's bit for bit.
+    block length run through ``_filters`` as one stack. Each job's results
+    equal its lone call's bit for bit, and a job that fails leaves the others
+    unaffected.
     """
     config = config or ReconstructionConfig()
     out = [None] * len(jobs)
@@ -506,13 +484,15 @@ def reconstruct_round(
             out[i] = []
             continue
         groups.setdefault((job.state.x.size, *job.block.shape), []).append((i, job))
-    for (n, _, _), members in groups.items():
-        step = max(1, SCAN_BUFFER // (n * n))
-        for lo in range(0, len(members), step):
-            chunk = members[lo : lo + step]
-            for (i, job), outputs in zip(chunk, _filter_outputs([job for _, job in chunk])):
-                failed = isinstance(outputs, KalmanError)
-                out[i] = outputs if failed else _results(job, *outputs, round_index, truth)
+    for members in groups.values():
+        stacks = (
+            np.stack([getattr(job.state, name) for _, job in members])
+            for name in ("transition", "measurement", "process_noise", "measurement_noise", "x")
+        )
+        outcomes = _filters(*stacks, np.stack([job.block for _, job in members]))
+        for (i, job), outcome in zip(members, outcomes):
+            failed = isinstance(outcome, KalmanError)
+            out[i] = outcome if failed else _results(job, outcome[0], round_index, truth)
     return out
 
 
@@ -583,14 +563,14 @@ def missing_sensor_scan(
     For each candidate, the filter runs with that channel's variance inflated
     and the indicator is the mean symmetrized KL between measured and
     estimated signals over the remaining channels. The candidates' filters
-    differ only in R, so they run as one stack: one doubling solve and one
-    prefix scan, the path ``run_filter`` takes with a stack of one. The candidate whose
+    differ only in R, so they run through ``_filters`` as one stack, and the
+    first candidate that fails raises its lone error. The candidate whose
     exclusion gives the smallest indicator is the missing one; a report is
     issued only when the min-to-median ratio falls below the configured
     threshold, so a fault-free neighborhood stays quiet.
     """
     config = config or ReconstructionConfig()
-    node_set = sorted(node_set)
+    node_set = sorted(set(node_set))
     if len(node_set) < 3:
         raise KalmanError("missing-sensor scan needs at least 3 nodes")
     present = [ch for ch in node_set if windows.get(ch) is not None]
@@ -603,10 +583,13 @@ def missing_sensor_scan(
     r = np.repeat(base.measurement_noise[None], len(node_set), axis=0)
     r[c, c, c] *= config.variance_inflation
     h = base.measurement
-    xs = _stationary_filters(base.transition, h, base.process_noise, r, base.x, block)[0]
     lambdas = {}
-    for cand, states in zip(node_set, xs):
-        est = h @ states[1:].T
+    for cand, outcome in zip(
+        node_set, _filters(base.transition, h, base.process_noise, r, base.x, block)
+    ):
+        if isinstance(outcome, KalmanError):
+            raise outcome
+        est = h @ outcome[0][1:].T
         kls = []
         for i, ch in enumerate(node_set):
             if ch != cand:

@@ -51,8 +51,8 @@ _POLICIES = {
 }
 MODES = tuple(_POLICIES)
 
-# seed-stream tags (SeedSequence spawn keys)
-_AMBIENT, _NOISE, _FAULT, _LOSS = 1, 2, 3, 4
+# seed-stream tags (SeedSequence spawn keys); tag 3 belonged to a retired fault stream
+_AMBIENT, _NOISE, _LOSS = 1, 2, 4
 
 
 class ConfigError(ValueError):

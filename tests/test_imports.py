@@ -1,5 +1,5 @@
-"""Import graph: the package loads without scipy, and every public name in it has a
-caller outside the tests."""
+"""Import graph: the package loads without scipy, every public name in it has a
+caller outside the tests, and every private module-level name a reader in ``src``."""
 
 import ast
 import os
@@ -45,10 +45,25 @@ def _public_definitions(tree):
                     yield item.name
 
 
+def _private_definitions(tree):
+    """Private module-level functions, classes and assigned names, dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name
+
+
 def _references(tree):
-    """Identifiers, attribute names, imported names and string constants."""
+    """Identifiers read, attribute names, imported names and string constants."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -67,6 +82,21 @@ def test_every_public_name_is_referenced_outside_the_tests():
         f"{path.name}:{name}"
         for path, tree in _trees("src/shmsim")
         for name in _public_definitions(tree)
+        if name not in referenced
+    )
+    assert unused == []
+
+
+def test_every_private_name_is_referenced_in_src():
+    """Each private module-level function, class and constant of ``src/shmsim`` is read
+    somewhere in src, so a retired helper cannot linger for the tests alone."""
+    referenced = set()
+    for _, tree in _trees("src"):
+        referenced.update(_references(tree))
+    unused = sorted(
+        f"{path.name}:{name}"
+        for path, tree in _trees("src/shmsim")
+        for name in _private_definitions(tree)
         if name not in referenced
     )
     assert unused == []

@@ -1,6 +1,7 @@
 """Kalman reconstruction and KL-KF missing-sensor tests."""
 
 import copy
+import re
 import warnings
 
 import numpy as np
@@ -11,8 +12,8 @@ from shmsim.detection import default_edges
 from shmsim import kalman
 from shmsim.kalman import (
     SCAN_BINS,
+    _filters,
     _scoped_filter,
-    _stationary_filters,
     _steady_prior_covariance,
     KalmanError,
     KalmanFilterState,
@@ -470,20 +471,32 @@ class TestSteadyState:
          (np.diag([1.0, 1.0, 1.0, 0.0]), "singular measurement noise")],
     )
     def test_failing_system_fails_the_stack(self, failing, bad_noise, message):
-        """One failing R in a stack raises the error a lone ``run_filter`` on it raises."""
+        """One failing R fails its stack's doubling solve; each system of the stack then
+        gets its lone outcome: the failing one the error a lone ``run_filter`` on it
+        raises, the others a lone ``run_filter``'s states and gain bit for bit."""
         state = _simple_state(seed=9)
         state.transition = np.diag([1.05, 0.9, 0.8, 0.7])
         state.process_noise = 0.1 * np.eye(4)
-        state.measurement_noise = bad_noise
         block = np.random.default_rng(10).standard_normal((4, 50))
-        with pytest.raises(KalmanError, match=message) as lone:
-            run_filter(state, block)
         stack = np.stack([np.eye(4), np.diag([2.0, 1.0, 3.0, 1.0]), np.eye(4)])
         stack[failing] = bad_noise
         args = state.transition, state.measurement, state.process_noise, stack
-        with pytest.raises(KalmanError) as stacked:
-            _stationary_filters(*args, state.x, block)
-        assert str(stacked.value) == str(lone.value)
+        outcomes = list(_filters(*args, state.x, block))
+        assert len(outcomes) == 3
+        for i, (r, outcome) in enumerate(zip(stack, outcomes)):
+            lone = copy.deepcopy(state)
+            lone.measurement_noise = r
+            if i == failing:
+                with pytest.raises(KalmanError, match=message) as err:
+                    run_filter(lone, block)
+                assert type(outcome) is KalmanError and str(outcome) == str(err.value)
+                assert outcome.__traceback__ is None
+                continue
+            est, _ = run_filter(lone, block)
+            states, p, gain_t = outcome
+            assert np.array_equal(state.measurement @ states[1:].T, est)
+            assert np.array_equal(states[-1], lone.x)
+            assert np.array_equal(gain_t.T, lone.gain)
 
 
 class TestReconstructionConfig:
@@ -572,6 +585,28 @@ class TestReconstruction:
         with pytest.raises(KalmanError, match="healthy"):
             reconstruct_signals([4, 5], scope, spec, noise_var=noise_var)
 
+    @pytest.mark.parametrize("channels, bad", [((10, 11, 12, 13), [10, 11, 12, 13]),
+                                              ((-1, 0, 1, 2), [-1])])
+    def test_channel_outside_structure_rejected(self, chain_round, channels, bad):
+        """Ids past the top DOF and negative ids are named in a KalmanError, not indexed."""
+        spec, clean, rms, windows, noise_var = chain_round
+        scope = {ch: windows[ch % N] for ch in channels}
+        with pytest.raises(KalmanError, match=rf"channel ids {re.escape(str(bad))} are outside"):
+            reconstruct_signals([channels[0]], scope, spec, noise_var=noise_var)
+
+    def test_unequal_window_lengths_rejected(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        scope = {ch: windows[ch] for ch in (3, 4, 5, 6)}
+        scope[6] = SignalWindow(6, 0.0, 0.02, windows[6].samples[:100], 0)
+        with pytest.raises(KalmanError, match=r"unequal lengths \[100, 1024\]"):
+            reconstruct_signals([4], scope, spec, noise_var=noise_var)
+
+    def test_faulty_channel_without_window_entry_rejected(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        scope = {ch: windows[ch] for ch in range(3, 7)}
+        with pytest.raises(KalmanError, match=r"faulty channels \[9\] have no entry"):
+            reconstruct_signals([9], scope, spec, noise_var=noise_var)
+
     def test_missing_window_treated_as_faulty(self, chain_round):
         spec, clean, rms, windows, noise_var = chain_round
         scope = {ch: windows[ch] for ch in (3, 4, 5, 6, 7)}
@@ -579,6 +614,18 @@ class TestReconstruction:
         results = reconstruct_signals([], scope, spec, noise_var=noise_var, truth={5: clean[5]})
         assert [r.sensor_id for r in results] == [5]
         assert results[0].quality >= 0.90
+
+
+def _count_calls(monkeypatch, *names) -> dict:
+    """Wrap the named ``kalman`` functions to count their calls; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(kalman, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kalman, name, counted)
+    return calls
 
 
 def _assert_same_results(got, want):
@@ -611,11 +658,10 @@ class TestRoundReconstruction:
     @pytest.mark.parametrize("buffer", [kalman.SCAN_BUFFER, 40_000, 400, 1])
     def test_mixed_scope_shapes_equal_lone_calls(self, chain_round, monkeypatch, buffer):
         """Scopes of three sizes, two of them shared by several jobs (state 14, rows 5 and
-        state 10, rows 3), a no-op job and one that fails alone. Each buffer solves a
-        group's jobs in one doubling stack; 40 000 scans two (state 14) or three (state
-        10) of them per stack, and the default one at a time. 400 solves two or four jobs
-        per stack and scans them in 28- and 40-row tiles; 1 runs every job alone in
-        one-row tiles."""
+        state 10, rows 3), a no-op job and one that fails alone. The default buffer and
+        40 000 solve each group's jobs in one doubling stack; 400 solves two (state 14)
+        or four (state 10) jobs per stack and scans in 28- and 40-row tiles; 1 solves
+        every job alone and scans in one-row tiles. Every job is scanned on its own."""
         monkeypatch.setattr(kalman, "SCAN_BUFFER", buffer)
         spec, clean, rms, windows, noise_var = chain_round
         jobs = [
@@ -672,17 +718,15 @@ class TestRoundReconstruction:
 
     def test_failing_scan_fails_its_job_only(self, chain_round, monkeypatch):
         """A prefix scan that fails for one job's filter (made to fail here, as an unstable
-        closed loop would) fails that job alone; its scan-mate (two jobs per scan stack at
-        this buffer) and the other stack keep their lone results."""
-        monkeypatch.setattr(kalman, "SCAN_BUFFER", 40_000)
+        closed loop would) fails that job alone; the jobs of its doubling stack keep their
+        lone results."""
         spec, clean, rms, windows, noise_var = chain_round
         jobs = [self._job(windows, [ch], range(ch - 2, ch + 3)) for ch in (3, 4, 5, 6)]
         marked = windows[8].samples  # only the last job's block ends with channel 8
         scan = kalman._prefix_scan
 
         def failing(a, h, gain_t, x0, measurements):
-            if any(np.array_equal(block[-1], marked) for block in np.reshape(
-                    measurements, (-1, *measurements.shape[-2:]))):
+            if np.array_equal(measurements[-1], marked):
                 raise KalmanError("the filter's closed loop is unstable: made to fail")
             return scan(a, h, gain_t, x0, measurements)
 
@@ -694,6 +738,32 @@ class TestRoundReconstruction:
         assert str(outcomes[3]) == str(lone.value)
         for job, got in zip(jobs[:3], outcomes):
             _assert_same_results(got, reconstruct_signals(*job, spec, noise_var=noise_var))
+
+    # the default buffer stacks each group whole; 400 stacks two state-14 or four
+    # state-10 jobs, so the five and three jobs below take three and one stacks
+    @pytest.mark.parametrize("buffer, stacks", [(kalman.SCAN_BUFFER, 2), (400, 4)])
+    def test_one_solve_per_stack_and_one_scan_per_job(
+        self, chain_round, monkeypatch, buffer, stacks
+    ):
+        """``_stationary_gains`` runs once per doubling stack of a group (at most
+        ``SCAN_BUFFER // n^2`` jobs) and ``_prefix_scan`` once per job."""
+        monkeypatch.setattr(kalman, "SCAN_BUFFER", buffer)
+        spec, clean, rms, windows, noise_var = chain_round
+        calls = _count_calls(monkeypatch, "_stationary_gains", "_prefix_scan")
+        # five state-14 jobs (rows 5) and three state-10 jobs (rows 3)
+        jobs = [self._job(windows, [ch], range(ch - 2, ch + 3)) for ch in (3, 4, 5, 6, 4)]
+        jobs += [self._job(windows, [ch], range(ch - 1, ch + 2)) for ch in (2, 4, 6)]
+        outcomes = reconstruct_round(jobs, spec, noise_var=noise_var)
+        assert [len(o) for o in outcomes] == [1] * len(jobs)
+        assert calls == {"_stationary_gains": stacks, "_prefix_scan": len(jobs)}
+
+    def test_faulty_channel_without_window_entry_fails_its_job_only(self, chain_round):
+        """A faulty channel missing from its job's windows fails that job, not the round."""
+        spec, clean, rms, windows, noise_var = chain_round
+        jobs = [([9], {ch: windows[ch] for ch in range(3, 7)}), self._job(windows, [5], range(3, 8))]
+        bad, good = reconstruct_round(jobs, spec, noise_var=noise_var)
+        assert type(bad) is KalmanError and "[9]" in str(bad)
+        _assert_same_results(good, reconstruct_signals(*jobs[1], spec, noise_var=noise_var))
 
     def test_lone_call_raises_the_round_error(self, chain_round):
         spec, clean, rms, windows, noise_var = chain_round
@@ -776,14 +846,39 @@ class TestMissingSensorScan:
         lone = [make_filter({cand}) for cand in nodes]
         stack = np.stack([f.measurement_noise for f in lone])
         f = lone[0]
-        xs, p, gain_t = _stationary_filters(
-            f.transition, f.measurement, f.process_noise, stack, f.x, block
-        )
-        for i, state in enumerate(lone):
+        outcomes = list(_filters(f.transition, f.measurement, f.process_noise, stack, f.x, block))
+        assert len(outcomes) == len(lone)
+        for (states, p, gain_t), state in zip(outcomes, lone):
             est, _ = run_filter(state, block)
-            assert np.array_equal(f.measurement @ xs[i, 1:].T, est)
-            assert np.array_equal(xs[i, -1], state.x)
-            assert np.array_equal(gain_t[i].T, state.gain)
+            assert np.array_equal(f.measurement @ states[1:].T, est)
+            assert np.array_equal(states[-1], state.x)
+            assert np.array_equal(gain_t.T, state.gain)
+
+    def test_one_solve_and_one_scan_per_candidate(self, chain_round, monkeypatch):
+        spec, clean, rms, windows, noise_var = chain_round
+        calls = _count_calls(monkeypatch, "_stationary_gains", "_prefix_scan")
+        missing_sensor_scan(range(N), windows, spec, noise_var=noise_var)
+        assert calls == {"_stationary_gains": 1, "_prefix_scan": N}
+
+    def test_duplicate_nodes_count_once(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        scope = {ch: windows[ch] for ch in (3, 4, 5)}
+        result = missing_sensor_scan([3, 3, 4, 5], scope, spec, noise_var=noise_var)
+        assert result.lambdas == missing_sensor_scan([3, 4, 5], scope, spec, noise_var=noise_var).lambdas
+        assert list(result.lambdas) == [3, 4, 5]
+
+    def test_channel_outside_structure_rejected(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        scope = {8: windows[8], 9: windows[9], 10: windows[7]}
+        with pytest.raises(KalmanError, match=r"channel ids \[10\] are outside 0\.\.9"):
+            missing_sensor_scan([8, 9, 10], scope, spec, noise_var=noise_var)
+
+    def test_unequal_window_lengths_rejected(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        scope = {ch: windows[ch] for ch in (3, 4, 5)}
+        scope[5] = SignalWindow(5, 0.0, 0.02, windows[5].samples[:100], 0)
+        with pytest.raises(KalmanError, match=r"unequal lengths \[100, 1024\]"):
+            missing_sensor_scan([3, 4, 5], scope, spec, noise_var=noise_var)
 
 
     def test_null_case_reports_nothing(self, chain_round):
