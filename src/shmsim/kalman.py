@@ -11,18 +11,24 @@ the filter reconstruct them from the healthy channels and the model.
 The filter is stationary: its gain comes from the steady Riccati covariance,
 so the state obeys a linear recurrence with one fixed matrix, and a block runs
 as a log-depth (Hillis-Steele) prefix scan rather than one step per sample.
-Every filter runs through one runner, ``_filters``: one doubling solve per
-stack of systems (each with its own A, H, Q, R and block, or sharing them), a
-lone solve per system of a stack that fails, and one scan per system. The
-missing-sensor scan's candidates differ only in R, and ``reconstruct_round``
-stacks every filter of one state dimension, channel count and block length.
-Every outcome equals its lone run's bit for bit; ``run_filter`` and
+Every filter runs through one runner, ``_run``: it solves the gains of the
+filters that have none in doubling stacks of one shape (each system of a
+failing stack alone), then scans every filter of one state dimension, channel
+count and block length as one stack.
+
+A run keeps its filters in a ``FilterTable``. A stationary filter's gain
+depends on A, H, Q and R, never on the data; with the process-noise scale
+taken from the run's frozen fault-free RMS, a scope and flagged set give the
+same filter in every round, and the table solves it once. Without a table,
+``reconstruct_round`` and ``missing_sensor_scan`` take the scale from the
+current windows and solve every filter afresh. Either way each outcome equals
+the lone ``run_filter`` of its filter bit for bit; ``run_filter`` and
 ``reconstruct_signals`` are the stacks of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +39,8 @@ from .structure import StructureSpec, discrete_state_space
 
 # histogram bins of the missing-sensor scan's KL divergence
 SCAN_BINS = 16
-# elements of a prefix-scan pass's temporary (128 KiB of float64); a pass runs in
-# tiles of rows that fit, and the doubling solve stacks SCAN_BUFFER // n^2 systems
+# elements of a prefix-scan pass's temporary per system (128 KiB of float64); a pass
+# runs in tiles of rows that fit, and the doubling solve stacks SCAN_BUFFER // n^2 systems
 SCAN_BUFFER = 1 << 14
 
 
@@ -79,6 +85,8 @@ class KalmanFilterState:
 
     def __post_init__(self):
         d = np.diag(self.measurement_noise)
+        if not np.isfinite(d).all():
+            raise KalmanError("measurement noise variances must be finite")
         if np.any(d <= 0):
             raise KalmanError("measurement noise variances must be > 0 (zero collapses the filter)")
 
@@ -152,7 +160,8 @@ def filter_for_structure(
 def _noise_information(h, r):
     """H^T R^-1 H for each R of the (k, m, m) stack; ``h`` is shared or a (k, m, n) stack.
 
-    Raises KalmanError if any R cannot be solved, with the condition number of ``r[0]``.
+    Raises KalmanError if any R cannot be solved, with the condition number of ``r[0]``
+    (none is taken of a non-finite ``r[0]``, whose SVD would not converge).
     """
     with np.errstate(all="ignore"):
         try:
@@ -161,9 +170,10 @@ def _noise_information(h, r):
             g = np.nan
         if np.isfinite(g).all():
             return g
-        raise KalmanError(
-            f"singular measurement noise covariance (condition number {np.linalg.cond(r[0]):.3e})"
-        )
+        detail = "non-finite entries"
+        if np.isfinite(r[0]).all():
+            detail = f"condition number {np.linalg.cond(r[0]):.3e}"
+        raise KalmanError(f"singular measurement noise covariance ({detail})")
 
 
 def _steady_prior_covariance(a, h, q, r):
@@ -178,8 +188,8 @@ def _steady_prior_covariance(a, h, q, r):
     double together, and each one is set aside once its own P no longer
     changes, which happens at the latest when its doubled closed-loop
     transition underflows to zero. So every slice is the solve of that system
-    alone. A stack that fails raises KalmanError, and the one runner,
-    ``_filters``, then solves its systems one at a time, each to its own outcome.
+    alone. A stack that fails raises KalmanError, and ``_solve`` then solves its
+    systems one at a time, each to its own outcome.
     """
     k, n = len(r), a.shape[-1]
     g = _noise_information(h, r)
@@ -222,78 +232,134 @@ def _stationary_gains(a, h, q, r):
     return p, np.linalg.solve(hp @ h.mT + r, hp)  # K^T = S^-1 H P
 
 
-def _prefix_scan(a, h, gain_t, x0, measurements):
-    """(T + 1, n) posterior states of one stationary filter, row 0 the initial state.
+@dataclass
+class _Filter:
+    """A stationary filter with what solving and scanning it found, all independent of the data.
 
-    ``gain_t`` is the (m, n) transposed gain and ``measurements`` the (m, T)
-    block. The state follows x_t = x_{t-1} F + K m_t (row vectors) with one
-    fixed F = (A - K H A)^T, run as a Hillis-Steele prefix scan (Blelloch,
-    CMU-CS-90-190, 1990): pass s adds x_{t-s} F^s to every row t >= s, with s
-    doubling and F squared after each pass, so T samples take
-    ceil(log2(T + 1)) passes, each in row tiles of ``SCAN_BUFFER`` elements.
-    A closed loop with an eigenvalue outside the unit circle (only a growing
-    mode that no process noise drives and no channel measures has one) raises
-    KalmanError once a power of F overflows.
+    ``gains`` is the doubling solve's (p, gain_t), or the KalmanError it raised,
+    and None until ``_solve`` runs; ``powers`` maps a block length T to what
+    ``_powers`` returns: the closed loop's F, F^2, F^4, ... that a T-sample
+    scan reads, or the KalmanError of the first that overflows.
     """
-    n_steps, n = measurements.shape[1], a.shape[0]
-    power = (a - gain_t.T @ (h @ a)).T  # F, then F^2, F^4, ...
-    xs = np.empty((n_steps + 1, n))
-    xs[0] = x0
-    np.matmul(measurements.T, gain_t, out=xs[1:])  # the drive K m_t
-    rows = max(1, min(n_steps, SCAN_BUFFER // n))
-    carry = np.empty((rows, n))  # x_{t-s} F^s of one tile
-    s = 1
-    while True:
-        # row tiles from the end backwards: a tile reads rows below its own end only,
-        # which no earlier tile of this pass has changed
-        hi = n_steps + 1
+
+    state: KalmanFilterState
+    gains: tuple | KalmanError | None = None
+    powers: dict = field(default_factory=dict)
+
+
+def _gains(filters) -> list:
+    """Each filter's (p, gain_t) from one doubling stack, or, if the stack fails, its lone outcome.
+
+    The error path solves each system of a failing stack alone, to its own
+    (p, gain_t) or KalmanError; a failing stack of one is its lone solve.
+    """
+    names = ("transition", "measurement", "process_noise", "measurement_noise")
+    try:
+        stacks = (np.stack([getattr(f.state, name) for f in filters]) for name in names)
+        return list(zip(*_stationary_gains(*stacks)))
+    except KalmanError as err:
+        if len(filters) == 1:
+            return [err.with_traceback(None)]  # a kept error holds no frame
+        return [_gains([f])[0] for f in filters]
+
+
+def _solve(filters):
+    """Set the gains of every filter that has none, each to its lone solve's outcome.
+
+    Filters of one shape are solved in doubling stacks of at most
+    ``SCAN_BUFFER // n^2`` systems (see ``_gains``), so each gets its own
+    (p, gain_t) bit for bit or its own KalmanError.
+    """
+    groups = {}  # (rows, state dim) -> filters still unsolved, each once
+    for f in {id(f): f for f in filters if f.gains is None}.values():
+        groups.setdefault(f.state.measurement.shape, []).append(f)
+    for (_, n), members in groups.items():
+        step = max(1, SCAN_BUFFER // (n * n))
+        for lo in range(0, len(members), step):
+            stack = members[lo : lo + step]
+            for f, gains in zip(stack, _gains(stack)):
+                f.gains = gains
+
+
+def _powers(f: _Filter, n_steps: int):
+    """F = (A - K H A)^T, F^2, F^4, ... as far as a scan of ``n_steps`` samples squares it.
+
+    Returns the list of powers, F a transposed view of A - K H A, or, for a
+    closed loop with an eigenvalue outside the unit circle (only a growing mode
+    that no process noise drives and no channel measures has one), the
+    KalmanError of the first power that overflows. Kept on ``f`` per block length.
+    """
+    if n_steps not in f.powers:
+        a, h, gain_t = f.state.transition, f.state.measurement, f.gains[1]
+        powers = [(a - gain_t.T @ (h @ a)).T]
+        while 2 ** len(powers) <= n_steps:
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers.append(powers[-1] @ powers[-1])
+            if not np.isfinite(powers[-1]).all():
+                f.powers[n_steps] = KalmanError(
+                    f"the filter's closed loop is unstable: F^{2 ** (len(powers) - 1)} "
+                    f"overflows within {n_steps} samples"
+                )
+                break
+        else:
+            # a list, so that np.stack keeps F a transposed view: BLAS rounds a
+            # product with a transposed operand differently
+            f.powers[n_steps] = powers
+    return f.powers[n_steps]
+
+
+def _prefix_scan(xs, powers):
+    """Run k stationary filters over their (k, T + 1, n) rows in place.
+
+    Row 0 of a system holds its initial state and row t its drive K m_t. The
+    state follows x_t = x_{t-1} F + K m_t (row vectors) with one fixed F per
+    system, run as a Hillis-Steele prefix scan (Blelloch, CMU-CS-90-190, 1990):
+    pass s adds x_{t-s} F^s to every row t >= s, with F^s read from each system's
+    ``_powers`` list in ``powers``, so T samples take ceil(log2(T + 1)) passes. A pass
+    runs in row tiles of ``SCAN_BUFFER`` elements per system, from the end
+    backwards: a tile reads rows below its own start only, which no earlier
+    tile of the pass has changed.
+    """
+    k, n_rows, n = xs.shape
+    rows = max(1, min(n_rows - 1, SCAN_BUFFER // n))
+    carry = np.empty((k, rows, n))  # x_{t-s} F^s of one tile
+    for level in range(len(powers[0])):
+        s, hi, power = 1 << level, n_rows, np.stack([p[level] for p in powers])
         while hi > s:
             lo = max(s, hi - rows)
-            tile = carry[: hi - lo]
-            np.matmul(xs[lo - s : hi - s], power, out=tile)
-            xs[lo:hi] += tile
+            tile = carry[:, : hi - lo]
+            np.matmul(xs[:, lo - s : hi - s], power, out=tile)
+            xs[:, lo:hi] += tile
             hi = lo
-        s *= 2
-        if s > n_steps:
-            return xs
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ power
-        if not np.isfinite(power).all():
-            raise KalmanError(
-                f"the filter's closed loop is unstable: F^{s} overflows within {n_steps} samples"
-            )
 
 
-def _filters(a, h, q, r, x0, blocks):
-    """Yield each of k stationary filters' (states, p, gain_t), or its lone run's KalmanError.
+def _run(filters, blocks) -> list:
+    """Each filter's (T + 1, n) states over its (m, T) block from its state's x, or its KalmanError.
 
-    ``r`` is the (k, m, m) stack of measurement noise covariances; A, H, Q, the
-    initial state and the (m, T) block are shared or stacks of k. ``p`` and
-    ``gain_t`` come from ``_stationary_gains``, solved in stacks of at most
-    ``SCAN_BUFFER // n^2`` systems; only a stack that fails is solved again,
-    one system at a time. ``states`` is the system's ``_prefix_scan``, run when
-    its outcome is consumed. Every outcome equals the lone run's bit for bit.
+    Solves the filters that have no gains yet (``_solve``) and scans the others
+    in one ``_prefix_scan`` per (state dim, rows, T). A filter's states, and the
+    error of its solve or of its closed loop's overflow, equal its lone run's
+    bit for bit; every error returned is a fresh copy, so a kept one never
+    gathers a traceback.
     """
-    k, n = len(r), a.shape[-1]
-    a, h, q, blocks = (np.broadcast_to(v, (k, *v.shape[-2:])) for v in (a, h, q, blocks))
-    x0 = np.broadcast_to(x0, (k, n))
-
-    def solve(part):  # each system's (p, gain_t) from one doubling stack
-        return list(zip(*_stationary_gains(a[part], h[part], q[part], r[part])))
-
-    step = max(1, SCAN_BUFFER // (n * n))
-    for lo in range(0, k, step):
-        stack = range(lo, min(k, lo + step))
-        try:
-            gains = solve(slice(lo, stack.stop))
-        except KalmanError:  # the error path: solve each system alone, to its own outcome
-            gains = [None] * len(stack)
-        for i, gain in zip(stack, gains):
-            try:
-                p, gain_t = gain or solve(slice(i, i + 1))[0]
-                yield _prefix_scan(a[i], h[i], gain_t, x0[i], blocks[i]), p, gain_t
-            except KalmanError as err:
-                yield err.with_traceback(None)  # a kept error holds no frame, nor its arrays
+    _solve(filters)
+    out, groups = [], {}  # groups: (state dim, rows, T) -> indices of the filters to scan
+    for i, (f, block) in enumerate(zip(filters, blocks)):
+        outcome = f.gains if isinstance(f.gains, KalmanError) else _powers(f, block.shape[1])
+        if isinstance(outcome, KalmanError):
+            out.append(KalmanError(*outcome.args))
+            continue
+        out.append(None)
+        groups.setdefault((f.state.x.size, *block.shape), []).append(i)
+    for (n, _, n_steps), members in groups.items():
+        xs = np.empty((len(members), n_steps + 1, n))
+        for states, i in zip(xs, members):
+            states[0] = filters[i].state.x
+            np.matmul(blocks[i].T, filters[i].gains[1], out=states[1:])  # the drive K m_t
+        _prefix_scan(xs, [filters[i].powers[n_steps] for i in members])
+        for i, states in zip(members, xs):
+            out[i] = states
+    return out
 
 
 def run_filter(state: KalmanFilterState, measurements: np.ndarray):
@@ -306,7 +372,7 @@ def run_filter(state: KalmanFilterState, measurements: np.ndarray):
     covariance P of A, H, Q and R, so every sample runs through the
     time-invariant (Wiener) filter x <- (A - K H A) x + K m_t from
     ``state.x``, evaluated as a log-depth prefix scan over the block. This is
-    the stack of one of ``_filters``, the runner every filter goes through.
+    the stack of one of ``_run``, the runner every filter goes through.
     On return ``state.gain`` is K and ``state.P`` the steady posterior
     covariance; an empty block leaves the state untouched.
     """
@@ -315,13 +381,11 @@ def run_filter(state: KalmanFilterState, measurements: np.ndarray):
         raise KalmanError("measurement block row count does not match the filter")
     if not n_steps:
         return np.empty((rows, 0)), np.empty((rows, 0))
-    a, h = state.transition, state.measurement
-    (outcome,) = _filters(
-        a, h, state.process_noise, state.measurement_noise[None], state.x, measurements
-    )
-    if isinstance(outcome, KalmanError):
-        raise outcome
-    xs, p, gain_t = outcome
+    f = _Filter(state)
+    (xs,) = _run([f], [measurements])
+    if isinstance(xs, KalmanError):
+        raise xs
+    (p, gain_t), a, h = f.gains, state.transition, state.measurement
     p_post = p - gain_t.T @ (h @ p)
     state.x, state.P, state.gain = xs[-1].copy(), 0.5 * (p_post + p_post.T), gain_t.T
     return _outputs(a, h, xs, measurements)
@@ -340,22 +404,46 @@ class ReconstructionResult:
     quality: float | None = None  # correlation against ground truth, clipped to [0, 1]
 
 
+class FilterTable:
+    """One run's stationary filters, each solved once, and the run's frozen signal RMS.
+
+    ``signal_rms[ch]`` is channel ch's fault-free RMS, frozen for the run; a
+    filter's process-noise scale is its mean over the filter's healthy
+    channels. An entry is keyed on the filter's model scope (the ends of its
+    sub-chain), its channels, its variance-inflated channels and that scale,
+    and holds the filter, its gains or solve error and its closed loop's powers
+    per block length (see ``_Filter``). A table serves one structure,
+    reconstruction config and ``noise_var``; its owner keeps it for the run.
+    """
+
+    def __init__(self, signal_rms):
+        self.signal_rms = signal_rms
+        self._filters = {}
+
+    def filter(self, key, make) -> _Filter:
+        """The entry under ``key``, made from ``make()``'s KalmanFilterState on first use."""
+        if key not in self._filters:
+            self._filters[key] = _Filter(make())
+        return self._filters[key]
+
+
 def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_channels, config,
-                   noise_var: dict | None):
+                   noise_var: dict | None, filters: FilterTable | None = None):
     """Measurement block and filter factory for ``channels`` over their model scope.
 
     Channels without a window in ``windows`` get zero rows. The process-noise
-    scale is the mean RMS of ``scale_channels``; channels missing from
+    scale is the mean RMS of ``scale_channels``: their frozen RMS in
+    ``filters``, or their windows' RMS without a table. Channels missing from
     ``noise_var`` get variance (0.1 * scale)^2. The scope is the whole
     structure (``model_scope="full"``) or the sub-chain spanning the
     channels (a channel id is its structural DOF) plus ``scope_margin``,
     with each end that slices through the real structure marked as a
     boundary cut; equal sub-chains share one spec and its cached model.
     Returns (ref, block, make_filter): the first delivered window, the
-    (channels, T) block and ``make_filter(inflated)``, which builds the
-    filter with the channels in ``inflated`` variance-inflated. Raises
-    KalmanError for channel ids outside the structure's DOFs and for
-    delivered windows of unequal length.
+    (channels, T) block and ``make_filter(inflated)``, the ``_Filter`` with
+    the channels in ``inflated`` variance-inflated, taken from ``filters``
+    or, without a table, built afresh. Raises KalmanError for channel ids
+    outside the structure's DOFs and for delivered windows of unequal length.
     """
     outside = [ch for ch in channels if not 0 <= ch < structure.n_dof]
     if outside:
@@ -370,9 +458,11 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
     for i, ch in enumerate(channels):
         if windows.get(ch) is not None:
             block[i] = windows[ch].samples
-    scale = float(
-        np.mean([np.sqrt(np.mean(block[channels.index(ch)] ** 2)) for ch in scale_channels])
-    )
+    if filters is None:
+        rms = [np.sqrt(np.mean(block[channels.index(ch)] ** 2)) for ch in scale_channels]
+    else:
+        rms = [filters.signal_rms[ch] for ch in scale_channels]
+    scale = float(np.mean(rms))
     noise_var = noise_var or {}
     variances = [float(noise_var.get(ch, (0.1 * scale) ** 2)) for ch in channels]
     scope, lo, hi = structure, 0, structure.n_dof - 1
@@ -381,7 +471,7 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
         hi = min(structure.n_dof - 1, max(channels) + config.scope_margin)
         scope = structure.sub_chain(lo, hi)
 
-    def make_filter(inflated) -> KalmanFilterState:
+    def build(inflated) -> KalmanFilterState:
         return filter_for_structure(
             scope,
             [ch - lo for ch in channels],
@@ -391,6 +481,12 @@ def _scoped_filter(structure: StructureSpec, windows: dict, channels, scale_chan
             input_scale=scale,
             boundary_cut=(lo > 0, hi < structure.n_dof - 1),
         )
+
+    def make_filter(inflated) -> _Filter:
+        if filters is None:
+            return _Filter(build(inflated))
+        key = (lo, hi, tuple(channels), tuple(sorted(inflated)), scale)
+        return filters.filter(key, lambda: build(inflated))
 
     return ref, block, make_filter
 
@@ -403,10 +499,10 @@ class _Job:
     faulty: list
     ref: SignalWindow
     block: np.ndarray  # (channels, T)
-    state: KalmanFilterState
+    filter: _Filter
 
 
-def _reconstruction_job(faulty_set, all_windows, structure, config, noise_var):
+def _reconstruction_job(faulty_set, all_windows, structure, config, noise_var, filters):
     """The filter job of one reconstruction, or None when no channel is faulty."""
     channels = sorted(all_windows)
     unknown = sorted(set(faulty_set) - set(channels))
@@ -422,14 +518,15 @@ def _reconstruction_job(faulty_set, all_windows, structure, config, noise_var):
             f"({healthy}) are available for coverage"
         )
     ref, block, make_filter = _scoped_filter(
-        structure, all_windows, channels, healthy, config, noise_var
+        structure, all_windows, channels, healthy, config, noise_var, filters
     )
     return _Job(channels, sorted(faulty), ref, block, make_filter(faulty))
 
 
 def _results(job: _Job, states: np.ndarray, round_index: int, truth) -> list:
     """One ReconstructionResult per faulty channel of ``job`` from its filter's states."""
-    est, innov = _outputs(job.state.transition, job.state.measurement, states, job.block)
+    state = job.filter.state
+    est, innov = _outputs(state.transition, state.measurement, states, job.block)
     results = []
     for ch in job.faulty:
         row = job.channels.index(ch)
@@ -461,38 +558,39 @@ def reconstruct_round(
     config: ReconstructionConfig | None = None,
     noise_var: dict | None = None,
     truth: dict | None = None,
+    *,
+    filters: FilterTable | None = None,
 ) -> list:
     """Run one round's reconstructions, each a ``(faulty_set, all_windows)`` job.
 
-    Returns, per job in order, what ``reconstruct_signals(faulty_set,
-    all_windows, structure, ...)`` returns, or the KalmanError that call
-    raises. Jobs whose filters share state dimension n, channel count and
-    block length run through ``_filters`` as one stack. Each job's results
-    equal its lone call's bit for bit, and a job that fails leaves the others
-    unaffected.
+    Returns, per job in order, its list of ReconstructionResult or its
+    KalmanError; a job that fails leaves the others unaffected. Every filter
+    runs through ``_run``, so jobs whose filters share state dimension n,
+    channel count and block length are scanned as one stack. Without
+    ``filters``, each job's outcome equals its lone ``reconstruct_signals(
+    faulty_set, all_windows, structure, ...)`` call bit for bit. With the
+    run's table, a job takes its process-noise scale from the table's frozen
+    RMS and its filter from the table, solved in the first round that needs
+    it; its outcome equals a fresh solve of that filter bit for bit.
     """
     config = config or ReconstructionConfig()
-    out = [None] * len(jobs)
-    groups = {}  # (state dim, rows, T) -> [(job index, job)]
+    out, built = [None] * len(jobs), []  # built: (job index, job) of the jobs to filter
     for i, (faulty_set, all_windows) in enumerate(jobs):
         try:
-            job = _reconstruction_job(faulty_set, all_windows, structure, config, noise_var)
+            job = _reconstruction_job(
+                faulty_set, all_windows, structure, config, noise_var, filters
+            )
         except KalmanError as err:
             out[i] = err.with_traceback(None)
             continue
         if job is None:
             out[i] = []
             continue
-        groups.setdefault((job.state.x.size, *job.block.shape), []).append((i, job))
-    for members in groups.values():
-        stacks = (
-            np.stack([getattr(job.state, name) for _, job in members])
-            for name in ("transition", "measurement", "process_noise", "measurement_noise", "x")
-        )
-        outcomes = _filters(*stacks, np.stack([job.block for _, job in members]))
-        for (i, job), outcome in zip(members, outcomes):
-            failed = isinstance(outcome, KalmanError)
-            out[i] = outcome if failed else _results(job, outcome[0], round_index, truth)
+        built.append((i, job))
+    outcomes = _run([job.filter for _, job in built], [job.block for _, job in built])
+    for (i, job), outcome in zip(built, outcomes):
+        failed = isinstance(outcome, KalmanError)
+        out[i] = outcome if failed else _results(job, outcome, round_index, truth)
     return out
 
 
@@ -557,17 +655,22 @@ def missing_sensor_scan(
     structure: StructureSpec,
     config: ReconstructionConfig | None = None,
     noise_var: dict | None = None,
+    *,
+    filters: FilterTable | None = None,
 ) -> MissingScanResult:
     """Locate a missing/failed sensor by leave-one-out filter agreement.
 
     For each candidate, the filter runs with that channel's variance inflated
     and the indicator is the mean symmetrized KL between measured and
     estimated signals over the remaining channels. The candidates' filters
-    differ only in R, so they run through ``_filters`` as one stack, and the
-    first candidate that fails raises its lone error. The candidate whose
+    share A, H and the block, so they run through ``_run`` as one stack, and
+    the first candidate that fails raises its lone error. The candidate whose
     exclusion gives the smallest indicator is the missing one; a report is
     issued only when the min-to-median ratio falls below the configured
-    threshold, so a fault-free neighborhood stays quiet.
+    threshold, so a fault-free neighborhood stays quiet. ``filters`` works as
+    in ``reconstruct_round``: the process-noise scale is then the frozen RMS
+    of the delivering channels, and each candidate's filter comes from the
+    table.
     """
     config = config or ReconstructionConfig()
     node_set = sorted(set(node_set))
@@ -575,21 +678,14 @@ def missing_sensor_scan(
         raise KalmanError("missing-sensor scan needs at least 3 nodes")
     present = [ch for ch in node_set if windows.get(ch) is not None]
     _, block, make_filter = _scoped_filter(
-        structure, windows, node_set, present, config, noise_var
+        structure, windows, node_set, present, config, noise_var, filters
     )
-    base = make_filter(())
-    # candidate c's R is the base R with row c inflated, as make_filter({c}) builds it
-    c = np.arange(len(node_set))
-    r = np.repeat(base.measurement_noise[None], len(node_set), axis=0)
-    r[c, c, c] *= config.variance_inflation
-    h = base.measurement
+    candidates = [make_filter({cand}) for cand in node_set]
     lambdas = {}
-    for cand, outcome in zip(
-        node_set, _filters(base.transition, h, base.process_noise, r, base.x, block)
-    ):
+    for cand, f, outcome in zip(node_set, candidates, _run(candidates, [block] * len(node_set))):
         if isinstance(outcome, KalmanError):
             raise outcome
-        est = h @ outcome[0][1:].T
+        est = f.state.measurement @ outcome[1:].T
         kls = []
         for i, ch in enumerate(node_set):
             if ch != cand:

@@ -602,6 +602,7 @@ class _Run:
     damage_schedule: list
     training_windows: dict  # channel -> its training windows by round, None where lost
     shared: dict  # the round's results that runs given the same inputs share (see _once)
+    filters: kal.FilterTable  # every filter the runs use, each solved once
     energy: net.EnergyLedger = field(default_factory=net.EnergyLedger)
     dependability: mod.DependabilityReport = field(default_factory=mod.DependabilityReport)
     detections_rows: list = field(default_factory=list)
@@ -797,6 +798,7 @@ def _scan(run: _Run, d: int, view: dict, decisions: dict):
                 cfg.spec,
                 config=cfg.reconstruction,
                 noise_var=run.noise_var,
+                filters=run.filters,
             )
         except kal.KalmanError:
             continue
@@ -831,6 +833,7 @@ def _reconstruct(run: _Run, d: int, view: dict, flagged: list, clean: np.ndarray
         config=cfg.reconstruction,
         noise_var=run.noise_var,
         truth=truth,
+        filters=run.filters,
     )
     for (faulty, scope), results in zip(batches, outcomes):
         if isinstance(results, kal.KalmanError):
@@ -886,7 +889,8 @@ def _execute(configs: list, out_dirs: list) -> list:
     detection and every assembly of the same estimates: the raw and baseline
     ones, and a final one that replaced no estimate (see ``_once``). Each run
     keeps its own loss stream, energy ledger, scans, reconstructions and final
-    extraction. Writes each run's artifacts into its ``out_dirs`` entry and
+    extraction. All runs keep their Kalman filters in one ``kalman.FilterTable``,
+    so each distinct filter is solved once per call. Writes each run's artifacts into its ``out_dirs`` entry and
     returns each run's (manifest, summary).
     """
     cfg = configs[0]
@@ -901,7 +905,7 @@ def _execute(configs: list, out_dirs: list) -> list:
         path = routes[ch]
         bs_hops[ch] = [(a, b, cfg.topology.distance(a, b)) for a, b in zip(path[:-1], path[1:])]
     noise_var = {ch: float(sim.noise_std[ch] ** 2) for ch in range(cfg.n_nodes)}
-    shared = {}
+    shared, filters = {}, kal.FilterTable(sim.signal_rms)
     runs = [
         _Run(
             cfg=config,
@@ -913,6 +917,7 @@ def _execute(configs: list, out_dirs: list) -> list:
             damage_schedule=damage_schedule,
             training_windows={ch: [] for ch in range(cfg.n_nodes)},
             shared=shared,
+            filters=filters,
         )
         for config in configs
     ]

@@ -12,9 +12,11 @@ from shmsim.detection import default_edges
 from shmsim import kalman
 from shmsim.kalman import (
     SCAN_BINS,
-    _filters,
+    _Filter,
+    _run,
     _scoped_filter,
     _steady_prior_covariance,
+    FilterTable,
     KalmanError,
     KalmanFilterState,
     ReconstructionConfig,
@@ -183,6 +185,13 @@ class TestCorrect:
                 process_noise=np.zeros((2, 2)),
                 measurement_noise=np.zeros((2, 2)),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_variance_rejected_at_build(self, bad):
+        """NaN passed the ``<= 0`` guard and later made the error message's SVD fail."""
+        spec = uniform_chain(6, 1000.0, 1.769e6, 0.02, 1.0)
+        with pytest.raises(KalmanError, match="variances must be finite"):
+            filter_for_structure(spec, range(6), [1e-4, bad, 1e-4, 1e-4, 1e-4, 1e-4])
 
     def test_singular_innovation_diagnosed(self):
         state = _simple_state(seed=3)
@@ -379,6 +388,31 @@ class TestRunFilter:
         for mine, ref in ((est, ref_est), (innov, ref_innov), (state.x, reference.x)):
             assert np.max(np.abs(mine - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    def test_stacked_scan_equals_a_lone_squaring_scan(self, chain_round):
+        """Whole-chain filters (state 20, where BLAS rounds a product with a transposed F
+        differently) scanned as one stack equal, bit for bit, the one-system scan that
+        squares F as it goes, with F the transposed view of A - K H A."""
+        spec, clean, rms, windows, noise_var = chain_round
+        block = np.stack([windows[ch].samples for ch in range(N)])
+        _, _, make_filter = _scoped_filter(
+            spec, windows, list(range(N)), list(range(N)), ReconstructionConfig(), noise_var
+        )
+        filters = [make_filter({cand}) for cand in (2, 5, 7)]
+        for states, f in zip(_run(filters, [block] * 3), filters):
+            a, h, gain_t = f.state.transition, f.state.measurement, f.gains[1]
+            power, xs = (a - gain_t.T @ (h @ a)).T, np.empty((WINDOW + 1, 2 * N))
+            xs[0] = 0.0
+            np.matmul(block.T, gain_t, out=xs[1:])
+            rows, s = kalman.SCAN_BUFFER // (2 * N), 1
+            while s <= WINDOW:
+                hi = WINDOW + 1
+                while hi > s:
+                    lo = max(s, hi - rows)
+                    xs[lo:hi] += xs[lo - s : hi - s] @ power
+                    hi = lo
+                power, s = power @ power, 2 * s
+            assert np.array_equal(states, xs)
+
     def test_empty_block(self, chain_round):
         spec, clean, rms, windows, noise_var = chain_round
         state = _neighborhood_filter(spec, noise_var, rms)
@@ -425,6 +459,14 @@ class TestRunFilter:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(KalmanError, match="no finite steady state"):
                 run_filter(state, block)
+
+    def test_non_finite_noise_after_build_raises_kalman_error(self):
+        """A NaN variance set past the constructor guard fails the solve with KalmanError,
+        not with the LinAlgError of a condition number taken of a NaN matrix."""
+        state = _simple_state(seed=3)
+        state.measurement_noise = np.diag([1.0, np.nan, 1.0, 1.0])
+        with pytest.raises(KalmanError, match=r"noise covariance \(non-finite entries\)"):
+            run_filter(state, np.zeros((4, 5)))
 
     def test_singular_innovation_raised(self):
         state = _simple_state(seed=3)
@@ -480,10 +522,12 @@ class TestSteadyState:
         block = np.random.default_rng(10).standard_normal((4, 50))
         stack = np.stack([np.eye(4), np.diag([2.0, 1.0, 3.0, 1.0]), np.eye(4)])
         stack[failing] = bad_noise
-        args = state.transition, state.measurement, state.process_noise, stack
-        outcomes = list(_filters(*args, state.x, block))
+        filters = [_Filter(copy.deepcopy(state)) for _ in stack]
+        for f, r in zip(filters, stack):
+            f.state.measurement_noise = r
+        outcomes = _run(filters, [block] * 3)
         assert len(outcomes) == 3
-        for i, (r, outcome) in enumerate(zip(stack, outcomes)):
+        for i, (r, f, outcome) in enumerate(zip(stack, filters, outcomes)):
             lone = copy.deepcopy(state)
             lone.measurement_noise = r
             if i == failing:
@@ -493,10 +537,9 @@ class TestSteadyState:
                 assert outcome.__traceback__ is None
                 continue
             est, _ = run_filter(lone, block)
-            states, p, gain_t = outcome
-            assert np.array_equal(state.measurement @ states[1:].T, est)
-            assert np.array_equal(states[-1], lone.x)
-            assert np.array_equal(gain_t.T, lone.gain)
+            assert np.array_equal(state.measurement @ outcome[1:].T, est)
+            assert np.array_equal(outcome[-1], lone.x)
+            assert np.array_equal(f.gains[1].T, lone.gain)
 
 
 class TestReconstructionConfig:
@@ -691,7 +734,7 @@ class TestRoundReconstruction:
                 _, block, make_filter = _scoped_filter(
                     spec, scope, channels, healthy, ReconstructionConfig(), noise_var
                 )
-                est, innov = run_filter(make_filter(bad), block)
+                est, innov = run_filter(make_filter(bad).state, block)
                 for r in got:
                     assert np.array_equal(r.reconstructed.samples, est[channels.index(r.sensor_id)])
                     assert np.array_equal(r.residual, innov[channels.index(r.sensor_id)])
@@ -716,21 +759,37 @@ class TestRoundReconstruction:
         for i in (0, 2):
             _assert_same_results(outcomes[i], reconstruct_signals(*jobs[i], spec, **kwargs))
 
+    def test_non_finite_noise_variance_fails_its_job_only(self, chain_round):
+        """A NaN noise variance fails the jobs over that channel, not the round."""
+        spec, clean, rms, windows, noise_var = chain_round
+        noise_var = {**noise_var, 8: np.nan}
+        jobs = [self._job(windows, [5], range(3, 8)), self._job(windows, [6], range(4, 9))]
+        good, bad = reconstruct_round(jobs, spec, noise_var=noise_var)
+        assert type(bad) is KalmanError and "finite" in str(bad)
+        _assert_same_results(good, reconstruct_signals(*jobs[0], spec, noise_var=noise_var))
+
     def test_failing_scan_fails_its_job_only(self, chain_round, monkeypatch):
-        """A prefix scan that fails for one job's filter (made to fail here, as an unstable
-        closed loop would) fails that job alone; the jobs of its doubling stack keep their
-        lone results."""
+        """A closed loop whose powers overflow (made to, here, for the last job's filter,
+        as an unstable one would) fails that job alone; the jobs of its doubling stack
+        and of its scan stack keep their lone results."""
         spec, clean, rms, windows, noise_var = chain_round
         jobs = [self._job(windows, [ch], range(ch - 2, ch + 3)) for ch in (3, 4, 5, 6)]
-        marked = windows[8].samples  # only the last job's block ends with channel 8
-        scan = kalman._prefix_scan
+        channels = list(range(4, 9))
+        _, _, make_filter = _scoped_filter(
+            spec, jobs[3][1], channels, [4, 5, 7, 8], ReconstructionConfig(), noise_var
+        )
+        marked = make_filter({6}).state  # the last job's filter; only its R and Q are its own
+        powers = kalman._powers
 
-        def failing(a, h, gain_t, x0, measurements):
-            if np.array_equal(measurements[-1], marked):
-                raise KalmanError("the filter's closed loop is unstable: made to fail")
-            return scan(a, h, gain_t, x0, measurements)
+        def failing(f, n_steps):
+            if all(
+                np.array_equal(getattr(f.state, name), getattr(marked, name))
+                for name in ("measurement_noise", "process_noise")
+            ):
+                return KalmanError("the filter's closed loop is unstable: made to fail")
+            return powers(f, n_steps)
 
-        monkeypatch.setattr(kalman, "_prefix_scan", failing)
+        monkeypatch.setattr(kalman, "_powers", failing)
         outcomes = reconstruct_round(jobs, spec, noise_var=noise_var)
         assert [type(o) is KalmanError for o in outcomes] == [False, False, False, True]
         with pytest.raises(KalmanError) as lone:
@@ -742,11 +801,11 @@ class TestRoundReconstruction:
     # the default buffer stacks each group whole; 400 stacks two state-14 or four
     # state-10 jobs, so the five and three jobs below take three and one stacks
     @pytest.mark.parametrize("buffer, stacks", [(kalman.SCAN_BUFFER, 2), (400, 4)])
-    def test_one_solve_per_stack_and_one_scan_per_job(
+    def test_one_solve_per_stack_and_one_scan_per_group(
         self, chain_round, monkeypatch, buffer, stacks
     ):
         """``_stationary_gains`` runs once per doubling stack of a group (at most
-        ``SCAN_BUFFER // n^2`` jobs) and ``_prefix_scan`` once per job."""
+        ``SCAN_BUFFER // n^2`` jobs) and ``_prefix_scan`` once per group."""
         monkeypatch.setattr(kalman, "SCAN_BUFFER", buffer)
         spec, clean, rms, windows, noise_var = chain_round
         calls = _count_calls(monkeypatch, "_stationary_gains", "_prefix_scan")
@@ -755,7 +814,7 @@ class TestRoundReconstruction:
         jobs += [self._job(windows, [ch], range(ch - 1, ch + 2)) for ch in (2, 4, 6)]
         outcomes = reconstruct_round(jobs, spec, noise_var=noise_var)
         assert [len(o) for o in outcomes] == [1] * len(jobs)
-        assert calls == {"_stationary_gains": stacks, "_prefix_scan": len(jobs)}
+        assert calls == {"_stationary_gains": stacks, "_prefix_scan": 2}
 
     def test_faulty_channel_without_window_entry_fails_its_job_only(self, chain_round):
         """A faulty channel missing from its job's windows fails that job, not the round."""
@@ -808,7 +867,7 @@ def _lone_filter_scan(node_set, windows, spec, noise_var, config=ReconstructionC
     _, block, make_filter = _scoped_filter(spec, windows, node_set, present, config, noise_var)
     lambdas = {}
     for cand in node_set:
-        est, _ = run_filter(make_filter({cand}), block)
+        est, _ = run_filter(make_filter({cand}).state, block)
         kls = [
             kl_divergence(block[i], est[i], default_edges((block[i], est[i]), SCAN_BINS))
             for i, ch in enumerate(node_set)
@@ -843,22 +902,20 @@ class TestMissingSensorScan:
         _, block, make_filter = _scoped_filter(
             spec, scope, nodes, nodes[1:], ReconstructionConfig(), noise_var
         )
-        lone = [make_filter({cand}) for cand in nodes]
-        stack = np.stack([f.measurement_noise for f in lone])
-        f = lone[0]
-        outcomes = list(_filters(f.transition, f.measurement, f.process_noise, stack, f.x, block))
-        assert len(outcomes) == len(lone)
-        for (states, p, gain_t), state in zip(outcomes, lone):
-            est, _ = run_filter(state, block)
-            assert np.array_equal(f.measurement @ states[1:].T, est)
-            assert np.array_equal(states[-1], state.x)
-            assert np.array_equal(gain_t.T, state.gain)
+        candidates = [make_filter({cand}) for cand in nodes]
+        outcomes = _run(candidates, [block] * len(nodes))
+        assert len(outcomes) == len(candidates)
+        for states, f in zip(outcomes, candidates):
+            est, _ = run_filter(f.state, block)
+            assert np.array_equal(f.state.measurement @ states[1:].T, est)
+            assert np.array_equal(states[-1], f.state.x)
+            assert np.array_equal(f.gains[1].T, f.state.gain)
 
-    def test_one_solve_and_one_scan_per_candidate(self, chain_round, monkeypatch):
+    def test_candidates_share_one_solve_and_one_scan(self, chain_round, monkeypatch):
         spec, clean, rms, windows, noise_var = chain_round
         calls = _count_calls(monkeypatch, "_stationary_gains", "_prefix_scan")
         missing_sensor_scan(range(N), windows, spec, noise_var=noise_var)
-        assert calls == {"_stationary_gains": 1, "_prefix_scan": N}
+        assert calls == {"_stationary_gains": 1, "_prefix_scan": 1}
 
     def test_duplicate_nodes_count_once(self, chain_round):
         spec, clean, rms, windows, noise_var = chain_round
@@ -911,3 +968,107 @@ class TestMissingSensorScan:
         spec, clean, rms, windows, noise_var = chain_round
         with pytest.raises(KalmanError):
             missing_sensor_scan([4, 5], {4: windows[4], 5: windows[5]}, spec)
+
+
+class TestFilterTable:
+    """A run's filter table: one solve per filter, at the run's frozen signal RMS."""
+
+    @staticmethod
+    def _other_round(chain_round, seed):
+        """The chain's windows with a fresh noise draw, as a later round would deliver them."""
+        spec, clean, rms, windows, noise_var = chain_round
+        rng = np.random.default_rng(seed)
+        noisy = clean + 0.1 * rms[:, None] * rng.standard_normal(clean.shape)
+        return {ch: SignalWindow(ch, 0.0, 0.02, noisy[ch], 1) for ch in range(N)}
+
+    @staticmethod
+    def _jobs(windows):
+        scopes = [
+            ([5], range(3, 8)), ([2], range(1, 4)), ([4], range(2, 7)),
+            ([7, 8], range(5, 10)),
+        ]
+        return [(faulty, {ch: windows[ch] for ch in channels}) for faulty, channels in scopes]
+
+    @pytest.mark.parametrize("scope", ["neighborhood", "full"])
+    def test_reconstruction_hit_equals_fresh_solve(self, chain_round, monkeypatch, scope):
+        """A later round's jobs take every filter from the table, solving none, and equal a
+        fresh table's solve at the same frozen scale bit for bit."""
+        spec, clean, rms, windows, noise_var = chain_round
+        kwargs = dict(config=ReconstructionConfig(model_scope=scope), noise_var=noise_var)
+        table = FilterTable(rms)
+        reconstruct_round(self._jobs(windows), spec, filters=table, **kwargs)
+        jobs = self._jobs(self._other_round(chain_round, 21))
+        calls = _count_calls(monkeypatch, "_stationary_gains")
+        hits = reconstruct_round(jobs, spec, filters=table, **kwargs)
+        assert calls == {"_stationary_gains": 0}
+        fresh = reconstruct_round(jobs, spec, filters=FilterTable(rms), **kwargs)
+        for got, want in zip(hits, fresh):
+            _assert_same_results(got, want)
+
+    def test_full_scope_keys_do_not_collide_with_neighborhood_keys(self, chain_round):
+        """One table filled at both scopes gives each scope its own filters."""
+        spec, clean, rms, windows, noise_var = chain_round
+        table, jobs = FilterTable(rms), self._jobs(windows)
+        for scope in ("neighborhood", "full", "neighborhood"):
+            config = ReconstructionConfig(model_scope=scope)
+            got = reconstruct_round(jobs, spec, config=config, noise_var=noise_var, filters=table)
+            want = reconstruct_round(
+                jobs, spec, config=config, noise_var=noise_var, filters=FilterTable(rms)
+            )
+            for a, b in zip(got, want):
+                _assert_same_results(a, b)
+
+    def test_scale_is_the_frozen_rms_of_the_healthy_channels(self, chain_round):
+        spec, clean, rms, windows, noise_var = chain_round
+        channels, faulty = list(range(3, 8)), {5}
+        healthy = [ch for ch in channels if ch not in faulty]
+        _, _, make_filter = _scoped_filter(
+            spec, windows, channels, healthy, ReconstructionConfig(), noise_var, FilterTable(rms)
+        )
+        want = filter_for_structure(
+            spec.sub_chain(2, 8), [1, 2, 3, 4, 5], [noise_var[ch] for ch in channels],
+            inflated={3}, input_scale=float(np.mean(rms[healthy])), boundary_cut=(True, True),
+        )
+        got = make_filter(faulty).state
+        for name in ("transition", "measurement", "process_noise", "measurement_noise"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_scan_hit_equals_fresh_solve(self, chain_round, monkeypatch):
+        """A later round's scan takes its candidates from the table and equals a fresh
+        table's scan bit for bit; the missing channel's reconstruction over the same
+        neighbourhood is the scan's candidate filter."""
+        spec, clean, rms, windows, noise_var = chain_round
+        nodes, table = [3, 4, 5, 6, 7], FilterTable(rms)
+
+        def scope(round_windows):
+            return {ch: None if ch == 5 else round_windows[ch] for ch in nodes}
+
+        missing_sensor_scan(nodes, scope(windows), spec, noise_var=noise_var, filters=table)
+        later = scope(self._other_round(chain_round, 22))
+        calls = _count_calls(monkeypatch, "_stationary_gains")
+        hit = missing_sensor_scan(nodes, later, spec, noise_var=noise_var, filters=table)
+        (rebuilt,) = reconstruct_round([([], later)], spec, noise_var=noise_var, filters=table)
+        assert calls == {"_stationary_gains": 0}
+        fresh_table = FilterTable(rms)
+        fresh = missing_sensor_scan(nodes, later, spec, noise_var=noise_var, filters=fresh_table)
+        assert (hit.lambdas, hit.reported) == (fresh.lambdas, fresh.reported) and hit.reported == 5
+        (want,) = reconstruct_round(
+            [([], later)], spec, noise_var=noise_var, filters=FilterTable(rms)
+        )
+        _assert_same_results(rebuilt, want)
+
+    def test_failing_filter_is_solved_once(self, chain_round, monkeypatch):
+        """A filter whose solve fails is solved once; every round gets its KalmanError, each
+        a fresh copy without a traceback."""
+        spec, clean, rms, windows, noise_var = chain_round
+        noise_var = {**noise_var, 8: 1e-320}  # healthy channel 8: H^T R^-1 H overflows
+        table, job = FilterTable(rms), ([6], {ch: windows[ch] for ch in range(4, 9)})
+        calls = _count_calls(monkeypatch, "_stationary_gains")
+        outcomes = [
+            reconstruct_round([job], spec, noise_var=noise_var, filters=table)[0] for _ in range(3)
+        ]
+        assert calls == {"_stationary_gains": 1}
+        assert all(type(o) is KalmanError and o.__traceback__ is None for o in outcomes)
+        assert len({str(o) for o in outcomes}) == 1
+        assert "singular measurement noise" in str(outcomes[0])
+        assert len({id(o) for o in outcomes}) == 3

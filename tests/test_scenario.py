@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fault_only_config, null_config, read_rows, read_summary
+from conftest import (
+    fault_only_config,
+    field_config,
+    missing_node_config,
+    null_config,
+    read_rows,
+    read_summary,
+    standard_config,
+)
 from shmsim import detection, kalman, modal, scenario, sensing, structure
 from shmsim.cli import main as cli_main
 from shmsim.network import IsolatedNodeWarning
@@ -606,6 +614,40 @@ class TestModes:
         compare_schemes(fast_config(), MODES, str(tmp_path / "cmp"))
         assert lone["simulate_response"] > 1 and lone["train_correlation_model"] == 1
         assert calls == lone
+
+    # (run, distinct filters); the missing node's scan candidate is the filter that
+    # rebuilds it, so the two share one entry
+    FILTER_RUNS = [
+        (lambda out: run_scenario(standard_config(1), out), 2),
+        (lambda out: run_scenario(missing_node_config(1), out), 5),
+        (lambda out: run_scenario(field_config(1, 0.2), out), 20),
+        (lambda out: compare_schemes(standard_config(1), MODES, out), 3),
+    ]
+
+    @pytest.mark.parametrize(
+        "run, distinct", FILTER_RUNS, ids=["standard", "missing_node", "field", "compare5"]
+    )
+    def test_one_solve_per_distinct_filter(self, tmp_path, monkeypatch, run, distinct):
+        """Every filter reaches the doubling solve once per run (once per compare), scan
+        candidates included: the systems solved equal the distinct (A, H, Q, R) filtered."""
+        solved, filtered = [0], set()
+        gains, runner = kalman._stationary_gains, kalman._run
+
+        def counting_gains(a, h, q, r):
+            solved[0] += len(r)
+            return gains(a, h, q, r)
+
+        def recording_run(filters, blocks):
+            for f in filters:
+                parts = (f.state.transition, f.state.measurement, f.state.process_noise,
+                         f.state.measurement_noise)
+                filtered.add(b"".join(part.tobytes() for part in parts))
+            return runner(filters, blocks)
+
+        monkeypatch.setattr(kalman, "_stationary_gains", counting_gains)
+        monkeypatch.setattr(kalman, "_run", recording_run)
+        run(str(tmp_path / "run"))
+        assert solved[0] == len(filtered) == distinct
 
     def test_frequency_matching_baseline_misses_offsets(self, tmp_path):
         """The NFMC-style baseline cannot see faults that keep spectral peaks."""
